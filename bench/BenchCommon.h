@@ -14,6 +14,8 @@
 #include <memory>
 #include <string>
 
+#include <unistd.h>
+
 namespace pgmp {
 namespace bench {
 
@@ -45,9 +47,11 @@ inline void requireLib(Engine &E, const std::string &Name) {
   require(R.Ok, "loading library " + Name + ": " + R.Error);
 }
 
-/// Scratch profile path unique per benchmark binary invocation.
+/// Scratch profile path unique per benchmark process, so concurrent runs
+/// of one binary never overwrite each other's training profile.
 inline std::string profilePath(const char *Tag) {
-  return std::string("/tmp/pgmp_bench_") + Tag + ".profile";
+  return std::string("/tmp/pgmp_bench_") + Tag + "_" +
+         std::to_string(::getpid()) + ".profile";
 }
 
 /// Spins the CPU briefly before main() so the first registered benchmark

@@ -46,8 +46,12 @@ const char *labelOf(int64_t Arg) {
   return Arg == 0 ? "tier-off" : Arg == 1 ? "tier-auto" : "tier-always";
 }
 
-void runKernelWith(benchmark::State &State, Engine &E, const char *Source,
-                   const char *EntryPoint, const char *Label) {
+void runKernel(benchmark::State &State, const char *Source,
+               const char *EntryPoint, bool Instrument) {
+  EngineOptions Opts;
+  Opts.Tier.Mode = modeOf(State.range(0));
+  Opts.Instrument = Instrument;
+  Engine E(Opts);
   requireEval(E, Source, "kernel.scm");
   Value *Fn = E.context().globalCell(E.context().Symbols.intern(EntryPoint));
   {
@@ -61,33 +65,8 @@ void runKernelWith(benchmark::State &State, Engine &E, const char *Source,
     Value Args[1] = {Value::fixnum(20000)};
     benchmark::DoNotOptimize(E.context().apply(*Fn, Args, 1));
   }
-  State.SetLabel(Label);
+  State.SetLabel(labelOf(State.range(0)));
   State.SetItemsProcessed(State.iterations() * 20000);
-}
-
-void runKernel(benchmark::State &State, const char *Source,
-               const char *EntryPoint, bool Instrument) {
-  EngineOptions Opts;
-  Opts.Tier.Mode = modeOf(State.range(0));
-  Opts.Instrument = Instrument;
-  Engine E(Opts);
-  runKernelWith(State, E, Source, EntryPoint, labelOf(State.range(0)));
-}
-
-// Fusion/inlining A/B: always-tiered execution with the VM codegen
-// features forced on (arg 1) vs off (arg 0). The same kernels, the same
-// tier, only the codegen differs — this is the column pair BENCH_PR8.json
-// reports.
-void runCodegenAB(benchmark::State &State, const char *Source,
-                  const char *EntryPoint) {
-  bool On = State.range(0) != 0;
-  EngineOptions Opts;
-  Opts.Tier.Mode = TierMode::Always;
-  Opts.Tier.Fusion = On;
-  Opts.Tier.Inline = On;
-  Engine E(Opts);
-  runKernelWith(State, E, Source, EntryPoint,
-                On ? "fusion+inline" : "plain-tier");
 }
 
 void BM_TieredWork(benchmark::State &State) {
@@ -100,14 +79,6 @@ void BM_TieredWorkInstrumented(benchmark::State &State) {
 
 void BM_TieredCaseStudy(benchmark::State &State) {
   runKernel(State, CaseStudy, "sum-upto", /*Instrument=*/false);
-}
-
-void BM_FusedWork(benchmark::State &State) {
-  runCodegenAB(State, Kernel, "work");
-}
-
-void BM_FusedCaseStudy(benchmark::State &State) {
-  runCodegenAB(State, CaseStudy, "sum-upto");
 }
 
 } // namespace
@@ -131,18 +102,6 @@ BENCHMARK(BM_TieredCaseStudy)
     ->Arg(1)
     ->Arg(2)
     ->ArgNames({"tier"})
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_FusedWork)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"codegen"})
-    ->Unit(benchmark::kMillisecond);
-
-BENCHMARK(BM_FusedCaseStudy)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"codegen"})
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

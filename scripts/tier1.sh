@@ -18,10 +18,10 @@
 #      class flips mid-stream; the gate asserts the continuous profiler
 #      re-tiers online (epochs published, closures promoted AND demoted,
 #      exit 0) — the end-to-end contract of the ProfileBus service.
-#   6. VM codegen: BenchTieredExec runs with fusion forced on, and a hot
-#      workload under `pgmpi --tier always --stats` must report at least
-#      one superinstruction fused and at least one call inlined — the
-#      tier-up codegen paths must actually fire, not just compile.
+#   6. End-to-end benchmark smoke: `pgmpbench/run.py --smoke` builds the
+#      pgmpbench binary from this tree and runs every workload at smoke
+#      size with its result oracle, the per-layer repeatability check
+#      and the oracle self-test.
 #   7. Bounded-memory soak: `pgmpi serve` (boundary reclamation on by
 #      default) replays the same trace once and 64x-repeated; peak RSS
 #      of the long run must plateau instead of scaling with the request
@@ -124,25 +124,8 @@ echo "-- soak peak RSS: ${RSS_SHORT} KiB (500 req) vs ${RSS_LONG} KiB (32000 req
 [[ "$RSS_LONG" -lt $((RSS_SHORT * 2)) ]] \
   || { echo "FAIL: serve RSS grows with request count (reclamation broken)"; exit 1; }
 
-echo "== tier-1: VM codegen (superinstruction fusion + tier-up inlining) =="
-# The tiered-exec benchmark with fusion forced on: the fused dispatch
-# paths must survive a real workload, not just unit tests.
-build/bench/benchtieredexec --benchmark_min_time=0.01 \
-  --benchmark_repetitions=1 --benchmark_filter='Fused' > /dev/null
-CODEGEN_LOG="$SERVE_DIR/codegen.log"
-cat > "$SERVE_DIR/codegen.scm" <<'EOF'
-(define (fib n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))
-(define (bump x) (+ x 1))
-(define (drive n acc) (if (= n 0) acc (drive (- n 1) (bump acc))))
-(fib 18)
-(drive 20000 0)
-EOF
-build/tools/pgmpi --tier always --tier-fusion on --tier-inline on --stats \
-  "$SERVE_DIR/codegen.scm" 2> "$CODEGEN_LOG" > /dev/null
-grep -Eq 'superinstructions-fused +[1-9]' "$CODEGEN_LOG" \
-  || { echo "FAIL: tier-up fused no superinstructions"; cat "$CODEGEN_LOG"; exit 1; }
-grep -Eq 'tier-inlines +[1-9]' "$CODEGEN_LOG" \
-  || { echo "FAIL: tier-up inlined no calls"; cat "$CODEGEN_LOG"; exit 1; }
+echo "== tier-1: end-to-end benchmark smoke (pgmpbench --smoke) =="
+python3 pgmpbench/run.py --smoke
 
 if [[ "$SKIP_ASAN" == 1 ]]; then
   echo "== tier-1: ASan fault matrix skipped (--skip-asan) =="

@@ -80,12 +80,10 @@ struct EngineOptions {
   std::string TracePath;
 
   /// Tiered execution policy (interp/TierPolicy.h): when closures promote
-  /// from the tree-walking interpreter to the bytecode VM, plus the
-  /// profile-guided codegen knobs (superinstruction fusion, call-site
-  /// inlining) the VM applies at tier-up. Defaults to TierMode::Off.
-  /// Tiered code — fused or not — bumps the exact same source-expression
+  /// from the tree-walking interpreter to the bytecode VM. Defaults to
+  /// TierMode::Off. Tiered code bumps the exact same source-expression
   /// counters as the interpreter, so instrumented profiles are
-  /// byte-identical across tier modes and fusion settings.
+  /// byte-identical across tier modes.
   TierPolicy Tier;
 
   //===--------------------------------------------------------------------===//
@@ -138,8 +136,8 @@ struct EngineOptions {
 
   /// The bus to publish to. Null (the default) makes the engine host its
   /// own private bus; EnginePool passes every worker the aggregator it
-  /// hosts on worker 0 so the pool shares one decayed profile. The bus
-  /// must outlive the Engine.
+  /// owns (EnginePool::PoolBus) so the pool shares one decayed profile.
+  /// The bus must outlive the Engine.
   ProfileBus *Bus = nullptr;
 };
 

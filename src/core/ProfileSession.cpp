@@ -3,7 +3,6 @@
 #include "core/ProfileSession.h"
 
 #include "interp/Expr.h"
-#include "interp/TierBackend.h"
 #include "profile/ProfileIO.h"
 #include "support/FaultInjector.h"
 
@@ -211,19 +210,10 @@ static void applyEpoch(Context &Ctx, const ProfileEpoch &Epoch) {
     // not evidence of coldness strong enough to un-compile them.
   }
 
-  // A fresh epoch can also shift the hot *opcode* mix, not just the hot
-  // closure set: re-select the superinstruction fusion table from the
-  // block profiles observed so far and drop bodies compiled against an
-  // older table — they re-tier lazily against the fresh one on their next
-  // hot invocation.
-  if (Ctx.Backend)
-    Ctx.Backend->invalidateEpoch(Ctx, Ctx.Backend->fuse(Ctx));
-
-  // The memory-management analog of the fusion re-selection above: a new
-  // profile epoch re-derives the reclamation policy (pre-tenured sites,
-  // hot-site co-location, nursery sizing) from the allocation-site
-  // profile observed so far. Deterministic in the profile; cheap when
-  // nothing changed.
+  // A new profile epoch also re-derives the reclamation policy
+  // (pre-tenured sites, hot-site co-location, nursery sizing) from the
+  // allocation-site profile observed so far. Deterministic in the
+  // profile; cheap when nothing changed.
   Ctx.reselectReclaimPolicy();
 }
 

@@ -63,8 +63,8 @@ struct ThreePassConfig {
   /// block profile just skips layout; in strict mode both abort the pass.
   bool StrictProfile = false;
   /// Tiered execution policy for every pass. Safe in pass 1 because
-  /// tiered code (fused or not) bumps the same source counters as the
-  /// interpreter — the stored source profile is byte-identical either way.
+  /// tiered code bumps the same source counters as the interpreter — the
+  /// stored source profile is byte-identical either way.
   TierPolicy Tier;
   /// When set, each pass enables engine stats and appends its stage
   /// report here (observability of the protocol itself).

@@ -122,7 +122,7 @@ public:
   /// Re-derives the heap's reclamation policy from the current
   /// allocation-site profile (Heap::selectReclaimPolicy); bumps
   /// Stat::ReclaimPolicyEpochs when the policy actually changed. Called
-  /// per ProfileBus epoch, like fusion-table re-selection.
+  /// per ProfileBus epoch.
   void reselectReclaimPolicy();
 
   //===--------------------------------------------------------------------===//
@@ -141,8 +141,7 @@ public:
   uint32_t PhaseOneDepth = 0;
 
   /// The tier-up backend (interp/TierBackend.h): compiles hot lambdas,
-  /// runs their bytecode, selects superinstruction fusions, invalidates
-  /// stale code at profile epochs — and owns every module it compiled.
+  /// runs their bytecode, and owns every module it compiled.
   /// Registered by vm/Vm.cpp (installVm) at engine construction; null
   /// when tiering is off, so a null check is the only coupling the
   /// interpreter has to the VM's existence.

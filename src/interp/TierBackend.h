@@ -4,9 +4,7 @@
 /// The interface between the interpreter and whatever executes tiered
 /// code. The interpreter decides *when* a closure tiers (TierPolicy, the
 /// apply path in Eval.cpp); a TierBackend decides *what that means*:
-/// compiling the body, running it, selecting superinstruction fusions
-/// from fresh profiles, and invalidating code a new profile epoch has
-/// made stale.
+/// compiling the body and running it.
 ///
 /// This replaces the former trio of raw hooks on Context
 /// (TierCompileHook / TierRunHook function pointers plus the type-erased
@@ -46,25 +44,12 @@ public:
 
   /// Compiles \p L's body to a bytecode function, caching it on the
   /// lambda (L->Tiered) — or marks it TierBlocked and returns null when
-  /// the body cannot run on the VM (phase-1-only nodes). Applies the
-  /// current fusion table and inlining policy.
+  /// the body cannot run on the VM (phase-1-only nodes).
   virtual const VmFunction *compile(Context &Ctx, const LambdaExpr *L) = 0;
 
   /// Runs a tier-compiled function over a closure's captured frame.
   virtual Value run(Context &Ctx, const VmFunction *Fn, EnvObj *Captured,
                     Value *Args, size_t NumArgs) = 0;
-
-  /// Re-selects the superinstruction fusion table from the block
-  /// profiles observed so far (continuous-profiling epochs call this).
-  /// Returns the table's epoch, which bumps only when the selection
-  /// actually changed.
-  virtual uint64_t fuse(Context &Ctx) = 0;
-
-  /// Drops tier-compiled bodies that were fused against a table older
-  /// than \p FusionEpoch: the lambdas re-tier lazily against the fresh
-  /// table on their next hot invocation. Returns how many bodies were
-  /// invalidated.
-  virtual size_t invalidateEpoch(Context &Ctx, uint64_t FusionEpoch) = 0;
 
   /// Visits every heap Value the backend's compiled modules retain
   /// (bytecode constant pools), so a region reclamation can forward them.

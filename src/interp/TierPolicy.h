@@ -3,13 +3,10 @@
 /// \file
 /// One struct holding every knob of the tiered-execution pipeline: when
 /// closures promote from the tree-walking interpreter to the bytecode VM
-/// (mode, threshold, profile pre-marking) and what the VM's profile-guided
-/// codegen may do at tier-up (superinstruction fusion, call-site
-/// inlining). It is shared verbatim by EngineOptions (construction-time
-/// configuration), Context (the live policy), and ThreePassConfig, so a
-/// knob added here is automatically configurable everywhere — the old
-/// scheme of mirroring Tier/TierThreshold/TierHotWeight field-by-field
-/// across three structs is gone.
+/// (mode, threshold, profile pre-marking). It is shared verbatim by
+/// EngineOptions (construction-time configuration), Context (the live
+/// policy), and ThreePassConfig, so a knob added here is automatically
+/// configurable everywhere.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,11 +25,7 @@ namespace pgmp {
 /// up on first invocation (useful for tests and worst-case validation).
 enum class TierMode : uint8_t { Off, Auto, Always };
 
-/// Everything that governs tier-up decisions and tier-up codegen.
-/// Defaults reproduce a useful production setting: fusion and inlining on
-/// (they preserve counter fidelity by construction, so there is no
-/// profile-accuracy reason to disable them), caps sized so inlining can
-/// never blow up code size.
+/// Everything that governs tier-up decisions.
 struct TierPolicy {
   /// When closures promote to the bytecode VM. Off by default.
   TierMode Mode{};
@@ -44,31 +37,6 @@ struct TierPolicy {
   /// body is considered known-hot: it pre-marks at compile time and
   /// re-tiers at epoch boundaries (profile-guided pre-tiering).
   double HotWeight = 0.05;
-
-  /// Superinstruction fusion: at tier-up, adjacent hot opcode pairs are
-  /// fused into single dispatches against the backend's per-epoch fusion
-  /// table. Fused ops bump the exact same source counters as their
-  /// unfused expansion, so instrumented profiles are byte-identical
-  /// fusion on or off.
-  bool Fusion = true;
-
-  /// Epoch fusion-table selection: a candidate pair must carry at least
-  /// this fraction of the total observed pair weight to stay enabled.
-  /// With no block-profile data yet, the default dominant set applies.
-  double FusionMinWeight = 0.01;
-
-  /// Profile-guided inlining: at tier-up, calls to hot mono-caller
-  /// closures bound to globals are inlined into the call site behind a
-  /// cheap identity guard (rebinding the global falls back to a plain
-  /// call at runtime; tripping a cap below falls back at compile time).
-  bool Inline = true;
-
-  /// Callee body size cap (Expr nodes) for inlining.
-  uint32_t InlineMaxOps = 40;
-
-  /// Nesting cap for inlining (an inlined body may inline further calls,
-  /// including bounded unrolling of self-recursion).
-  uint32_t InlineMaxDepth = 2;
 };
 
 } // namespace pgmp

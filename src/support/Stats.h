@@ -70,11 +70,11 @@ enum class Stat : uint8_t {
   BusEpochs,          ///< bus epochs observed and applied by this engine
   RetierPromotions,   ///< lambdas marked hot by an epoch (re-tiering)
   RetierDemotions,    ///< stale-hot lambdas demoted to interpretation
-  SuperinstructionsFused, ///< opcode pairs fused at tier-up
-  TierInlines,        ///< calls inlined into a tiered body
-  TierInlineFallbacks, ///< eligible inlines abandoned by a size/depth cap
-  FusionEpochs,       ///< fusion-table re-selections that changed the set
-  TierInvalidations,  ///< tiered bodies dropped by a fusion-table epoch
+  SuperinstructionsFused, ///< retired: always 0, read by pgmpbench
+  TierInlines,        ///< retired: always 0, read by pgmpbench
+  TierInlineFallbacks, ///< retired: always 0, read by pgmpbench
+  FusionEpochs,       ///< retired: always 0, read by pgmpbench
+  TierInvalidations,  ///< retired: always 0, read by pgmpbench
   Reclaims,           ///< boundary region reclamations run (Heap::collect)
   ReclaimAborts,      ///< reclamations degraded by an evac alloc failure
   ReclaimPolicyEpochs ///< reclaim-policy re-selections that changed it

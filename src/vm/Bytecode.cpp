@@ -3,7 +3,6 @@
 #include "vm/Bytecode.h"
 
 #include "profile/SourceObject.h"
-#include "vm/Fusion.h"
 #include "syntax/SymbolTable.h"
 #include "syntax/Writer.h"
 
@@ -40,17 +39,6 @@ void VmFunction::linearize() {
     case Op::TailCall:
       Linear.push_back(Term);
       break;
-    case Op::CallBranchFalse: {
-      // Fused call+branch: the taken target lives in B and there is no
-      // inverted form, so the fallthrough gets an explicit jump when the
-      // layout moved it.
-      int32_t FT = B.FallThrough;
-      assert(FT >= 0 && "conditional terminator without fallthrough");
-      Linear.push_back(Term);
-      if (FT != Next)
-        Linear.push_back(Instr{Op::Jump, FT, 0});
-      break;
-    }
     case Op::BranchFalse:
     case Op::BranchTrue: {
       int32_t FT = B.FallThrough;
@@ -106,70 +94,49 @@ void VmFunction::computeMaxStack() {
       Work.push_back(static_cast<uint32_t>(Succ));
     }
   };
-  // Analyzing the raw expansion of every instruction (flattenInstr) keeps
-  // this pass correct for all fused and wide ops without enumerating
-  // their composite effects: each raw component updates the depth in
-  // order, so transient peaks inside a fused dispatch are modeled
-  // exactly, and a newly added superinstruction can never silently carry
-  // a zero stack effect.
-  std::vector<Instr> Flat;
   while (!Work.empty()) {
     uint32_t Id = Work.back();
     Work.pop_back();
     const Block &B = Blocks[Id];
     int64_t Cur = EntryDepth[Id];
-    for (const Instr &Raw : B.Code) {
-      Flat.clear();
-      flattenInstr(Raw, Flat);
-      for (const Instr &I : Flat) {
-        switch (I.K) {
-        case Op::Const:
-        case Op::LocalRef:
-        case Op::GlobalRef:
-        case Op::MakeClosure:
-        case Op::Peek:
-        case Op::GlobalIs:
-          ++Cur;
-          break;
-        case Op::SetLocal:
-        case Op::SetGlobal:
-        case Op::DefineGlobal:
-          break; // pop one, push void: net zero, peak unchanged
-        case Op::Call:
-          Cur -= I.A; // pops fn + A args, pushes result
-          break;
-        case Op::TailCall:
-          Cur -= I.A + 1; // consumes fn + args; invocation restarts
-          break;
-        case Op::Jump:
-          Propagate(I.A, Cur);
-          break;
-        case Op::BranchFalse:
-        case Op::BranchTrue:
-          --Cur;
-          Propagate(I.A, Cur);
-          Propagate(B.FallThrough, Cur);
-          break;
-        case Op::Return:
-        case Op::Pop:
-          --Cur;
-          break;
-        case Op::Squash:
-          Cur -= I.A;
-          break;
-        case Op::ProfileBlock:
-        case Op::ProfileSrc:
-        case Op::GuardEnter:
-        case Op::GuardLeave:
-          break;
-        default:
-          assert(false && "fused op survived flattenInstr");
-          break;
-        }
-        assert(Cur >= 0 && "operand stack underflow in MaxStack analysis");
-        if (Cur > Max)
-          Max = Cur;
+    for (const Instr &I : B.Code) {
+      switch (I.K) {
+      case Op::Const:
+      case Op::LocalRef:
+      case Op::GlobalRef:
+      case Op::MakeClosure:
+        ++Cur;
+        break;
+      case Op::SetLocal:
+      case Op::SetGlobal:
+      case Op::DefineGlobal:
+        break; // pop one, push void: net zero, peak unchanged
+      case Op::Call:
+        Cur -= I.A; // pops fn + A args, pushes result
+        break;
+      case Op::TailCall:
+        Cur -= I.A + 1; // consumes fn + args; invocation restarts
+        break;
+      case Op::Jump:
+        Propagate(I.A, Cur);
+        break;
+      case Op::BranchFalse:
+      case Op::BranchTrue:
+        --Cur;
+        Propagate(I.A, Cur);
+        Propagate(B.FallThrough, Cur);
+        break;
+      case Op::Return:
+      case Op::Pop:
+        --Cur;
+        break;
+      case Op::ProfileBlock:
+      case Op::ProfileSrc:
+        break;
       }
+      assert(Cur >= 0 && "operand stack underflow in MaxStack analysis");
+      if (Cur > Max)
+        Max = Cur;
     }
   }
   MaxStack = static_cast<uint32_t>(Max);
@@ -198,34 +165,25 @@ uint64_t VmFunction::structuralHash() const {
   for (const Block &B : Blocks) {
     Mix(0xB10C);
     Mix(static_cast<uint64_t>(B.FallThrough) + 7);
-    std::vector<Instr> Flat;
-    for (const Instr &Raw : B.Code)
-      // Hash fused superinstructions as their fully raw expansion so
-      // fusion at any depth (round-1 pairs and wide round-2 ops alike) is
-      // invisible to block-profile validation: the same source compiles
-      // to the same hash whether the fusion table was applied or not.
-      flattenInstr(Raw, Flat);
-    {
-      for (const Instr &I : Flat) {
-        if (I.K == Op::ProfileBlock || I.K == Op::ProfileSrc)
-          continue;
-        Mix(static_cast<uint64_t>(I.K));
-        // Operand indices are allocated in encounter order, so two
-        // different compiles can produce identical index sequences; hash
-        // what the operands denote instead where it matters.
-        switch (I.K) {
-        case Op::Const:
-          MixString(writeToString(Pool[static_cast<size_t>(I.A)]));
-          break;
-        case Op::GlobalRef:
-        case Op::SetGlobal:
-        case Op::DefineGlobal:
-          MixString(CellNames[static_cast<size_t>(I.A)]->Name);
-          break;
-        default:
-          Mix(static_cast<uint64_t>(I.A) + 0x9e37);
-          Mix(static_cast<uint64_t>(I.B) + 0x79b9);
-        }
+    for (const Instr &I : B.Code) {
+      if (I.K == Op::ProfileBlock || I.K == Op::ProfileSrc)
+        continue;
+      Mix(static_cast<uint64_t>(I.K));
+      // Operand indices are allocated in encounter order, so two
+      // different compiles can produce identical index sequences; hash
+      // what the operands denote instead where it matters.
+      switch (I.K) {
+      case Op::Const:
+        MixString(writeToString(Pool[static_cast<size_t>(I.A)]));
+        break;
+      case Op::GlobalRef:
+      case Op::SetGlobal:
+      case Op::DefineGlobal:
+        MixString(CellNames[static_cast<size_t>(I.A)]->Name);
+        break;
+      default:
+        Mix(static_cast<uint64_t>(I.A) + 0x9e37);
+        Mix(static_cast<uint64_t>(I.B) + 0x79b9);
       }
     }
   }
@@ -276,30 +234,6 @@ std::string pgmp::disassemble(const VmFunction &Fn) {
       return "profile";
     case Op::ProfileSrc:
       return "profile-src";
-    case Op::LocalLocal:
-      return "local-local";
-    case Op::LocalConst:
-      return "local-const";
-    case Op::GlobalLocal:
-      return "global-local";
-    case Op::GlobalConst:
-      return "global-const";
-    case Op::LocalCall:
-      return "local-call";
-    case Op::ConstCall:
-      return "const-call";
-    case Op::CallBranchFalse:
-      return "call-brf";
-    case Op::Peek:
-      return "peek";
-    case Op::Squash:
-      return "squash";
-    case Op::GlobalIs:
-      return "global-is";
-    case Op::GuardEnter:
-      return "guard-enter";
-    case Op::GuardLeave:
-      return "guard-leave";
     }
     return "?";
   };

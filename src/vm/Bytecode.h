@@ -42,48 +42,11 @@ enum class Op : uint8_t {
   ProfileBlock, ///< bump block counter A (present only when profiling)
   ProfileSrc,   ///< bump source counter SrcCounters[A] (tiered/instrumented
                 ///< code only; mirrors the interpreter's per-node bump)
-
-  // Superinstructions (vm/Fusion.h): each is exactly its two-op expansion
-  // in one dispatch. Selected per epoch from block profiles and rewritten
-  // in at tier-up. None of them absorbs a Profile* op — fusion only pairs
-  // literally adjacent non-profile ops — so the counter stream of fused
-  // code is identical to its unfused expansion by construction.
-  LocalLocal,  ///< push Slots0[A]; push Slots0[B] (depth-0 refs only)
-  LocalConst,  ///< push Slots0[A]; push Pool[B]
-  GlobalLocal, ///< push *Cells[A] (unbound check); push Slots0[B]
-  GlobalConst, ///< push *Cells[A] (unbound check); push Pool[B]
-  LocalCall,   ///< push Slots0[A] as last argument; call with B arguments
-  ConstCall,   ///< push Pool[A] as last argument; call with B arguments
-  CallBranchFalse, ///< call with A arguments; pop result; if false jump to
-                   ///< block B, else fall through (terminator)
-
-  // Tier-up inlining support (BytecodeCompiler): an inlined callee's
-  // parameters live on the operand stack, and the guard ops mirror the
-  // interpreter's per-application ExecGuard charges exactly.
-  Peek,       ///< push Stack[Sp-1-A] (inlined parameter access)
-  Squash,     ///< pop result; drop A slots beneath; push result back
-  GlobalIs,   ///< push #t iff *Cells[A] is eq? to Pool[B] (never raises)
-  GuardEnter, ///< ExecGuard::enterCall() (guarded instantiation only)
-  GuardLeave, ///< ExecGuard::leaveCall() (guarded instantiation only)
-
-  // Wide superinstructions: a second fusion round pairs two ops at least
-  // one of which is itself a round-1 product, collapsing whole
-  // subexpressions like (+ i 1) into a single dispatch. Operands pack
-  // both components' payloads, 16 bits each: A = (firstA << 16) | firstB,
-  // B = (secondA << 16) | secondB; pairs with payloads past 16 bits
-  // simply don't fuse. Enabled only when the profile selected every base
-  // candidate the wide op is built from (FusionTable::enabled).
-  GlobalLocalConstCall, ///< GlobalLocal then ConstCall in one dispatch
-  GlobalLocalLocalCall, ///< GlobalLocal then LocalCall in one dispatch
-  GlobalConstPeek,      ///< GlobalConst then Peek in one dispatch
-  PeekCall,             ///< Peek then Call in one dispatch
-  GuardEnterGlobal,     ///< GuardEnter then GlobalRef in one dispatch
-  GuardLeaveSquash,     ///< GuardLeave then Squash in one dispatch
 };
 
 /// Number of opcodes; the VM's threaded-dispatch jump table is checked
 /// against this so adding an Op without a handler fails at compile time.
-constexpr size_t NumOps = static_cast<size_t>(Op::GuardLeaveSquash) + 1;
+constexpr size_t NumOps = static_cast<size_t>(Op::ProfileSrc) + 1;
 
 struct Instr {
   Op K;

@@ -16,38 +16,10 @@
 #ifndef PGMP_VM_BYTECODECOMPILER_H
 #define PGMP_VM_BYTECODECOMPILER_H
 
-#include "interp/Context.h"
 #include "interp/Expr.h"
 #include "vm/Bytecode.h"
-#include "vm/Fusion.h"
-
-#include <unordered_map>
 
 namespace pgmp {
-
-/// Which lambdas call which global cells (a call site is a CallExpr with
-/// a GlobalRef in operator position; the enclosing lambda is the
-/// innermost one). The tier-up inliner consults it for the mono-caller
-/// test. Heuristic only: the runtime GlobalIs guard keeps inlining
-/// correct no matter how stale or incomplete the census is, so top-level
-/// call sites are simply not recorded.
-class CallSiteCensus {
-public:
-  /// Rebuilds from every adopted lambda (Context::TierLambdas).
-  void build(const std::vector<const LambdaExpr *> &Lambdas);
-
-  /// True when every recorded call site of \p Cell lives in \p Caller or
-  /// in \p Callee itself — self-recursion does not break mono-caller.
-  bool monoCaller(const Value *Cell, const LambdaExpr *Caller,
-                  const LambdaExpr *Callee) const;
-
-  /// How many lambdas the last build() saw (cheap staleness check).
-  size_t lambdasSeen() const { return NumLambdas; }
-
-private:
-  std::unordered_map<const Value *, std::vector<const LambdaExpr *>> Sites;
-  size_t NumLambdas = 0;
-};
 
 struct VmCompileOptions {
   /// Insert a counter bump at every basic block entry.
@@ -58,31 +30,19 @@ struct VmCompileOptions {
   /// in the same order, so tiered execution of instrumented code yields
   /// byte-identical profiles to interpreter-only runs.
   bool ProfileSources = false;
-
-  /// When non-null, rewrite compiled blocks against this fusion table
-  /// (profile-selected superinstructions; vm/Fusion.h). Counter streams
-  /// are unchanged by construction.
-  const FusionTable *Fusion = nullptr;
-
-  /// When non-null (and ->Inline), inline hot mono-caller global closures
-  /// at their non-tail call sites behind a GlobalIs identity guard,
-  /// bounded by the policy's InlineMaxOps/InlineMaxDepth caps. Requires
-  /// Census.
-  const TierPolicy *Inlining = nullptr;
-  const CallSiteCensus *Census = nullptr;
 };
 
 /// Compiles one top-level Expr into \p Module; returns the new top-level
 /// thunk (0-argument function). Raises SchemeError on unsupported nodes.
-VmFunction *compileExprToVm(Context &Ctx, const Expr *Root, VmModule &Module,
+VmFunction *compileExprToVm(const Expr *Root, VmModule &Module,
                             const VmCompileOptions &Opts);
 
 /// Compiles one lambda's body into \p Module for tiered execution;
 /// returns the function (arity taken from \p L). Raises SchemeError when
 /// the body contains phase-1-only nodes, in which case nothing observable
 /// happens to \p Module beyond dead functions.
-VmFunction *compileLambdaToVm(Context &Ctx, const LambdaExpr *L,
-                              VmModule &Module, const VmCompileOptions &Opts);
+VmFunction *compileLambdaToVm(const LambdaExpr *L, VmModule &Module,
+                              const VmCompileOptions &Opts);
 
 } // namespace pgmp
 

@@ -8,9 +8,6 @@
 #include "reader/Reader.h"
 #include "support/Diagnostics.h"
 #include "support/FaultInjector.h"
-#include "vm/Fusion.h"
-
-#include <unordered_map>
 
 using namespace pgmp;
 
@@ -215,47 +212,6 @@ static Value runVmLoop(Context &Ctx, VmFunction *Fn, EnvObj *Captured,
     Jumps = 0;
   };
 
-
-  // Non-tail call path shared by the fused call ops: callee sits below
-  // the N arguments; result replaces callee + args. Mirrors the Op::Call
-  // case below (which keeps its own copy because TailCall shares its
-  // callee resolution).
-  auto RunCall = [&](size_t N) {
-    Value *CallArgs = Stack + (Sp - N);
-    Value Callee = Stack[Sp - N - 1];
-    const VmFunction *Target = nullptr;
-    EnvObj *TargetEnv = nullptr;
-    if (Callee.isVmClosure()) {
-      VmClosure *C = asVmClosure(Callee);
-      Target = C->Fn;
-      TargetEnv = C->Captured;
-    } else if (Callee.isClosure()) {
-      Closure *C = Callee.asClosure();
-      if (const VmFunction *VF = tieredFunctionFor(Ctx, C->Template)) {
-        Target = VF;
-        TargetEnv = C->Captured;
-      }
-    }
-    Value Result;
-    if (Target) {
-      Result = runVmLoop<GuardOn>(Ctx, const_cast<VmFunction *>(Target),
-                                  TargetEnv, CallArgs, N);
-    } else if (Callee.isPrimitive()) {
-      Primitive *P = Callee.asPrimitive();
-      if (!tryPrimIntrinsic(P, CallArgs, N, Result)) {
-        if (static_cast<int>(N) < P->MinArgs ||
-            (P->MaxArgs >= 0 && static_cast<int>(N) > P->MaxArgs))
-          raiseError("primitive " + P->Name + " got " + std::to_string(N) +
-                     " arguments");
-        Result = P->Fn(Ctx, CallArgs, N);
-      }
-    } else {
-      Result = applyProcedure(Ctx, Callee, CallArgs, N);
-    }
-    Sp -= N + 1;
-    Push(Result);
-  };
-
   // Dispatch. On GCC/Clang the loop is token-threaded (labels as
   // values): every handler ends by jumping straight to the next
   // handler, so the branch predictor sees one indirect branch per
@@ -271,14 +227,7 @@ static Value runVmLoop(Context &Ctx, VmFunction *Fn, EnvObj *Captured,
       &&Lb_MakeClosure, &&Lb_Call,        &&Lb_TailCall,
       &&Lb_Jump,        &&Lb_BranchFalse, &&Lb_BranchTrue,
       &&Lb_Return,      &&Lb_Pop,         &&Lb_ProfileBlock,
-      &&Lb_ProfileSrc,  &&Lb_LocalLocal,  &&Lb_LocalConst,
-      &&Lb_GlobalLocal, &&Lb_GlobalConst, &&Lb_LocalCall,
-      &&Lb_ConstCall,   &&Lb_CallBranchFalse,
-      &&Lb_Peek,        &&Lb_Squash,      &&Lb_GlobalIs,
-      &&Lb_GuardEnter,  &&Lb_GuardLeave,
-      &&Lb_GlobalLocalConstCall,          &&Lb_GlobalLocalLocalCall,
-      &&Lb_GlobalConstPeek,               &&Lb_PeekCall,
-      &&Lb_GuardEnterGlobal,              &&Lb_GuardLeaveSquash,
+      &&Lb_ProfileSrc,
   };
   static_assert(sizeof(JumpTable) / sizeof(JumpTable[0]) == NumOps,
                 "jump table must cover every opcode in enum order");
@@ -490,161 +439,6 @@ static Value runVmLoop(Context &Ctx, VmFunction *Fn, EnvObj *Captured,
       ++*Fn->SrcCounters[static_cast<size_t>(I.A)];
       ++Pc;
       VM_NEXT();
-
-    // Superinstructions: each is exactly its two-op expansion in one
-    // dispatch (fuel/stat accounting matches a single instruction — the
-    // saved dispatch is the point).
-    VM_CASE(LocalLocal):
-      Push(Slots0[static_cast<size_t>(I.A)]);
-      Push(Slots0[static_cast<size_t>(I.B)]);
-      ++Pc;
-      VM_NEXT();
-    VM_CASE(LocalConst):
-      Push(Slots0[static_cast<size_t>(I.A)]);
-      Push(Fn->Pool[static_cast<size_t>(I.B)]);
-      ++Pc;
-      VM_NEXT();
-    VM_CASE(GlobalLocal): {
-      Value *Cell = Fn->Cells[static_cast<size_t>(I.A)];
-      if (Cell->isUnbound())
-        raiseError("unbound variable " +
-                   Fn->CellNames[static_cast<size_t>(I.A)]->Name);
-      Push(*Cell);
-      Push(Slots0[static_cast<size_t>(I.B)]);
-      ++Pc;
-      VM_NEXT();
-    }
-    VM_CASE(GlobalConst): {
-      Value *Cell = Fn->Cells[static_cast<size_t>(I.A)];
-      if (Cell->isUnbound())
-        raiseError("unbound variable " +
-                   Fn->CellNames[static_cast<size_t>(I.A)]->Name);
-      Push(*Cell);
-      Push(Fn->Pool[static_cast<size_t>(I.B)]);
-      ++Pc;
-      VM_NEXT();
-    }
-    VM_CASE(LocalCall):
-      Push(Slots0[static_cast<size_t>(I.A)]);
-      RunCall(static_cast<size_t>(I.B));
-      ++Pc;
-      VM_NEXT();
-    VM_CASE(ConstCall):
-      Push(Fn->Pool[static_cast<size_t>(I.A)]);
-      RunCall(static_cast<size_t>(I.B));
-      ++Pc;
-      VM_NEXT();
-    VM_CASE(CallBranchFalse): {
-      RunCall(static_cast<size_t>(I.A));
-      if (!Pop().isTruthy()) {
-        ++Jumps;
-        size_t NewPc =
-            static_cast<size_t>(Fn->BlockStart[static_cast<size_t>(I.B)]);
-        if constexpr (GuardOn)
-          if (NewPc <= Pc)
-            Guard.chargeFuel();
-        Pc = NewPc;
-      } else {
-        ++Pc;
-      }
-      VM_NEXT();
-    }
-
-    // Inlining support.
-    VM_CASE(Peek):
-      Push(Stack[Sp - 1 - static_cast<size_t>(I.A)]);
-      ++Pc;
-      VM_NEXT();
-    VM_CASE(Squash): {
-      Value V = Pop();
-      assert(Sp >= static_cast<size_t>(I.A) && "squash below stack base");
-      Sp -= static_cast<size_t>(I.A);
-      Push(V);
-      ++Pc;
-      VM_NEXT();
-    }
-    VM_CASE(GlobalIs):
-      Push(Value::boolean(*Fn->Cells[static_cast<size_t>(I.A)] ==
-                          Fn->Pool[static_cast<size_t>(I.B)]));
-      ++Pc;
-      VM_NEXT();
-    VM_CASE(GuardEnter):
-      if constexpr (GuardOn)
-        Guard.enterCall();
-      ++Pc;
-      VM_NEXT();
-    VM_CASE(GuardLeave):
-      if constexpr (GuardOn)
-        Guard.leaveCall();
-      ++Pc;
-      VM_NEXT();
-
-    // Wide superinstructions: each is its two fused components back to
-    // back, components' payloads packed 16 bits apiece (Fusion.h). Same
-    // fuel/stat accounting as any single instruction.
-    VM_CASE(GlobalLocalConstCall): {
-      Value *Cell = Fn->Cells[static_cast<size_t>(I.A) >> 16];
-      if (Cell->isUnbound())
-        raiseError("unbound variable " +
-                   Fn->CellNames[static_cast<size_t>(I.A) >> 16]->Name);
-      Push(*Cell);
-      Push(Slots0[static_cast<size_t>(I.A) & 0xFFFF]);
-      Push(Fn->Pool[static_cast<size_t>(I.B) >> 16]);
-      RunCall(static_cast<size_t>(I.B) & 0xFFFF);
-      ++Pc;
-      VM_NEXT();
-    }
-    VM_CASE(GlobalLocalLocalCall): {
-      Value *Cell = Fn->Cells[static_cast<size_t>(I.A) >> 16];
-      if (Cell->isUnbound())
-        raiseError("unbound variable " +
-                   Fn->CellNames[static_cast<size_t>(I.A) >> 16]->Name);
-      Push(*Cell);
-      Push(Slots0[static_cast<size_t>(I.A) & 0xFFFF]);
-      Push(Slots0[static_cast<size_t>(I.B) >> 16]);
-      RunCall(static_cast<size_t>(I.B) & 0xFFFF);
-      ++Pc;
-      VM_NEXT();
-    }
-    VM_CASE(GlobalConstPeek): {
-      Value *Cell = Fn->Cells[static_cast<size_t>(I.A) >> 16];
-      if (Cell->isUnbound())
-        raiseError("unbound variable " +
-                   Fn->CellNames[static_cast<size_t>(I.A) >> 16]->Name);
-      Push(*Cell);
-      Push(Fn->Pool[static_cast<size_t>(I.A) & 0xFFFF]);
-      Push(Stack[Sp - 1 - (static_cast<size_t>(I.B) >> 16)]);
-      ++Pc;
-      VM_NEXT();
-    }
-    VM_CASE(PeekCall): {
-      Push(Stack[Sp - 1 - (static_cast<size_t>(I.A) >> 16)]);
-      RunCall(static_cast<size_t>(I.B) >> 16);
-      ++Pc;
-      VM_NEXT();
-    }
-    VM_CASE(GuardEnterGlobal): {
-      if constexpr (GuardOn)
-        Guard.enterCall();
-      Value *Cell = Fn->Cells[static_cast<size_t>(I.B) >> 16];
-      if (Cell->isUnbound())
-        raiseError("unbound variable " +
-                   Fn->CellNames[static_cast<size_t>(I.B) >> 16]->Name);
-      Push(*Cell);
-      ++Pc;
-      VM_NEXT();
-    }
-    VM_CASE(GuardLeaveSquash): {
-      if constexpr (GuardOn)
-        Guard.leaveCall();
-      Value V = Pop();
-      assert(Sp >= (static_cast<size_t>(I.B) >> 16) &&
-             "squash below stack base");
-      Sp -= static_cast<size_t>(I.B) >> 16;
-      Push(V);
-      ++Pc;
-      VM_NEXT();
-    }
 #if !PGMP_VM_THREADED
     }
   }
@@ -672,14 +466,12 @@ static Value vmApplyHook(Context &Ctx, Value Fn, Value *Args, size_t N) {
 
 namespace {
 
-/// The VM's TierBackend (interp/TierBackend.h): tier-up compilation with
-/// profile-selected superinstruction fusion and call-site inlining,
-/// bytecode execution, per-epoch fusion-table re-selection, and stale-code
-/// invalidation. Each tiered lambda gets its own little module, owned
-/// here; modules live as long as the backend (i.e. the Context, which
-/// holds it by shared_ptr) because closures keep running their code —
-/// including code invalidated later, which stays valid for frames already
-/// executing it.
+/// The VM's TierBackend (interp/TierBackend.h): tier-up compilation and
+/// bytecode execution. Each tiered lambda gets its own little module,
+/// owned here; modules live as long as the backend (i.e. the Context,
+/// which holds it by shared_ptr) because closures keep running their
+/// code. A lambda compiles at most once: a demotion parks its body in
+/// LambdaExpr::TierCache and a later promotion restores it.
 class VmTierBackend : public TierBackend {
 public:
   const VmFunction *compile(Context &Ctx, const LambdaExpr *L) override {
@@ -690,24 +482,12 @@ public:
     // is free for uninstrumented units and mandatory for instrumented
     // ones — profiles must not depend on the tier that executed the code.
     Opts.ProfileSources = true;
-    // Block counters feed the epoch pair census; only pay for them when a
-    // bus exists to re-select the table from them.
-    Opts.ProfileBlocks = Ctx.Bus != nullptr;
-    if (Ctx.Tier.Fusion)
-      Opts.Fusion = &Table;
-    if (Ctx.Tier.Inline) {
-      if (Census.lambdasSeen() != Ctx.TierLambdas.size())
-        Census.build(Ctx.TierLambdas);
-      Opts.Inlining = &Ctx.Tier;
-      Opts.Census = &Census;
-    }
     try {
       if (faultinject::shouldFail(faultinject::Point::TierCompile))
         raiseError("injected fault at phase boundary: tier-compile");
-      VmFunction *Fn = compileLambdaToVm(Ctx, L, *Module, Opts);
+      VmFunction *Fn = compileLambdaToVm(L, *Module, Opts);
       Modules.push_back(std::move(Module));
       L->Tiered = Fn;
-      CompiledEpoch[L] = Table.Epoch;
       Ctx.Stats.bump(Stat::TierUps);
       return Fn;
     } catch (const GuardTrip &) {
@@ -731,51 +511,6 @@ public:
                          NumArgs);
   }
 
-  uint64_t fuse(Context &Ctx) override {
-    double Weights[NumFusionCandidates] = {};
-    double Total = 0;
-    for (const auto &M : Modules)
-      for (const auto &Fn : M->Functions)
-        accumulatePairCensus(*Fn, /*UseBlockCounts=*/true, 0, Weights, Total);
-    // No block-profile evidence yet: keep the default dominant set (the
-    // statically measured hot pairs) rather than disabling everything.
-    uint32_t Mask = AllFusionsMask;
-    if (Total > 0) {
-      Mask = 0;
-      for (size_t I = 0; I < NumFusionCandidates; ++I)
-        if (Weights[I] >= Total * Ctx.Tier.FusionMinWeight)
-          Mask |= 1u << I;
-    }
-    if (!Ctx.Tier.Fusion)
-      Mask = 0;
-    if (Mask != Table.Mask) {
-      Table.Mask = Mask;
-      ++Table.Epoch;
-      Ctx.Stats.bump(Stat::FusionEpochs);
-    }
-    return Table.Epoch;
-  }
-
-  size_t invalidateEpoch(Context &Ctx, uint64_t FusionEpoch) override {
-    size_t N = 0;
-    for (const LambdaExpr *L : Ctx.TierLambdas) {
-      auto It = CompiledEpoch.find(L);
-      if (It == CompiledEpoch.end() || It->second >= FusionEpoch)
-        continue;
-      // Drop both the live body and any demotion-parked one: each was
-      // fused against the stale table. The lambda re-tiers lazily (its
-      // heat marks are untouched), and in-flight frames keep running the
-      // old code safely because this backend still owns its module.
-      L->Tiered = nullptr;
-      L->TierCache = nullptr;
-      CompiledEpoch.erase(It);
-      ++N;
-    }
-    if (N)
-      Ctx.Stats.bump(Stat::TierInvalidations, N);
-    return N;
-  }
-
   void traceGcRoots(GcVisitor &V) override {
     // Bytecode constant pools embed heap Values (quoted data, strings);
     // Cells point at Context::Globals entries, which the Context traces
@@ -788,10 +523,6 @@ public:
 
 private:
   std::vector<std::shared_ptr<VmModule>> Modules;
-  FusionTable Table;
-  CallSiteCensus Census;
-  /// Fusion-table epoch each lambda's live body was compiled against.
-  std::unordered_map<const LambdaExpr *, uint64_t> CompiledEpoch;
 };
 
 } // namespace
@@ -853,7 +584,7 @@ EvalResult VmRunner::evalString(const std::string &Source,
         VmFunction *Top;
         {
           ScopedPhase Timer(Ctx.Stats, &Ctx.Trace, Phase::VmCompile);
-          Top = compileExprToVm(Ctx, Unit->Root, *Module, Opts);
+          Top = compileExprToVm(Unit->Root, *Module, Opts);
         }
         Ctx.adoptCode(std::move(Unit));
         {

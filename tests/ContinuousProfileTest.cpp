@@ -11,8 +11,10 @@
 
 #include "core/EnginePool.h"
 #include "core/ProfileSession.h"
+#include "interp/Expr.h"
 #include "profile/ProfileBus.h"
 #include "support/AtomicFile.h"
+#include "vm/Bytecode.h"
 
 #include <gtest/gtest.h>
 
@@ -68,8 +70,9 @@ TEST(ContinuousProfile, BusVersionsStrictlyMonotonic) {
     // exactly what a subscriber polls.
     EXPECT_GE(V, Last);
     EXPECT_EQ(V, Bus.version());
-    if (std::shared_ptr<const ProfileEpoch> E = Bus.epoch())
+    if (std::shared_ptr<const ProfileEpoch> E = Bus.epoch()) {
       EXPECT_EQ(E->Version, V);
+    }
     Last = V;
   }
   // At least the initial epoch and the flip epoch, and every version bump
@@ -163,8 +166,9 @@ TEST(ContinuousProfile, PublishDuringQueryNeverTears) {
           EXPECT_LE(R.Weight, 1.0);
           Max = std::max(Max, R.Weight);
         }
-        if (!E->Rows.empty())
+        if (!E->Rows.empty()) {
           EXPECT_DOUBLE_EQ(Max, 1.0);
+        }
       }
     }
   });
@@ -262,6 +266,29 @@ TEST(ContinuousProfile, SkewFlipRetiersWithoutRestart) {
   EXPECT_GE(E.stats().count(Stat::RetierDemotions), 1u)
       << "stale hot closure was not demoted after the flip";
   EXPECT_GE(E.stats().count(Stat::BusEpochs), 2u);
+
+  // Phase 3: hotness flips back. work-a re-promotes from its parked body.
+  uint64_t Promotions2 = E.stats().count(Stat::RetierPromotions);
+  for (int I = 0; I < 200; ++I)
+    evalOk(E, "(work-a 200)");
+  E.observeProfileEpoch();
+  EXPECT_GT(E.stats().count(Stat::RetierPromotions), Promotions2)
+      << "demoted closure was not re-promoted after the flip back";
+
+  // Each lambda tier-compiles once: every tier-up is still held, live or
+  // parked, so no demotion/re-promotion cycle recompiled a body. Tier-up
+  // bodies carry source counters only, never block counters.
+  uint64_t Held = 0;
+  for (const LambdaExpr *L : E.context().TierLambdas) {
+    const VmFunction *Fn = L->Tiered ? L->Tiered : L->TierCache;
+    if (!Fn)
+      continue;
+    ++Held;
+    std::string Code = disassemble(*Fn);
+    EXPECT_EQ(Code.find("    profile "), std::string::npos) << Code;
+  }
+  EXPECT_GE(Held, 2u);
+  EXPECT_EQ(E.stats().count(Stat::TierUps), Held);
 
   // The flip is invisible to merge fidelity: the full session still folds
   // into one coherent data set.

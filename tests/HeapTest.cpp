@@ -243,8 +243,9 @@ TEST(HeapReclaim, EvacuationForwardsAllKindsAcrossChunkBoundaries) {
       EXPECT_EQ(V->Elems[0].asFixnum(), I);
       EXPECT_EQ(V->Elems[1].asFixnum(), I + 1);
     }
-    if (I % 7 == 0)
+    if (I % 7 == 0) {
       EXPECT_EQ(Roots[Idx++].asBox()->Boxed.asFixnum(), -I);
+    }
   }
 }
 

@@ -408,9 +408,11 @@ TEST(ParallelProfile, GuardTrippedTaskIsExcludedFromMerge) {
   EXPECT_EQ(R.Outcomes[5].Attempts, 2u) << "initial attempt + one retry";
   EXPECT_NE(R.Outcomes[5].Error.find("guard trip [fuel]"), std::string::npos)
       << R.Outcomes[5].Error;
-  for (size_t I = 0; I < Jobs; ++I)
-    if (I != 5)
+  for (size_t I = 0; I < Jobs; ++I) {
+    if (I != 5) {
       EXPECT_TRUE(R.Outcomes[I].Ok) << "task " << I;
+    }
+  }
 
   std::string Par = tempPath("survivors.profile");
   ProfileOpResult St = Pool.storeMergedProfile(Par);

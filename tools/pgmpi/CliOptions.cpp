@@ -116,26 +116,7 @@ bool parseCommonFlag(int Argc, char **Argv, int &I, CliOptions &O) {
       std::exit(ExitUsage);
     }
     O.Engine.Tier.HotWeight = W;
-  } else if (Arg == "--tier-fusion")
-    O.Engine.Tier.Fusion = parseOnOff("--tier-fusion", Value("--tier-fusion"));
-  else if (Arg == "--tier-fusion-min-weight") {
-    double W = positiveReal("--tier-fusion-min-weight",
-                            Value("--tier-fusion-min-weight"));
-    if (W > 1.0) {
-      std::fprintf(
-          stderr,
-          "pgmpi: --tier-fusion-min-weight needs a fraction in (0, 1]\n");
-      std::exit(ExitUsage);
-    }
-    O.Engine.Tier.FusionMinWeight = W;
-  } else if (Arg == "--tier-inline")
-    O.Engine.Tier.Inline = parseOnOff("--tier-inline", Value("--tier-inline"));
-  else if (Arg == "--tier-inline-max-ops")
-    O.Engine.Tier.InlineMaxOps = static_cast<uint32_t>(
-        positive("--tier-inline-max-ops", Value("--tier-inline-max-ops")));
-  else if (Arg == "--tier-inline-depth")
-    O.Engine.Tier.InlineMaxDepth = static_cast<uint32_t>(
-        positive("--tier-inline-depth", Value("--tier-inline-depth")));
+  }
 
   // Profile lifecycle.
   else if (Arg == "--profile-out")

@@ -41,14 +41,10 @@
 ///     publish/epoch/re-tier counts and per-half replay times goes to
 ///     stderr; --profile-out stores the merged profile at the end.
 ///
-///   pgmpi report [--top N] [--fused PROG.scm] [--alloc PROG.scm] FILE...
+///   pgmpi report [--top N] [--alloc PROG.scm] FILE...
 ///     hot-spot report for stored source profiles: the top-N points by
 ///     weight with counts, locations, and source excerpts. A profile with
-///     no samples prints a notice and exits 0. With --fused PROG.scm,
-///     also prints the fused-sequence table: superinstruction candidates
-///     ranked by adjacent-opcode-pair weight over PROG's lambdas,
-///     weighted by the first FILE's profile when one is given. With
-///     --alloc PROG.scm, runs PROG under boundary reclamation and prints
+///     no samples prints a notice and exits 0. With --alloc PROG.scm, runs PROG under boundary reclamation and prints
 ///     the allocation-site table: per-site object kinds, counts, bytes,
 ///     and survival rates, plus heap generation totals.
 ///
@@ -89,8 +85,6 @@
 #include "support/Text.h"
 #include "syntax/Writer.h"
 #include "vm/BlockProfile.h"
-#include "vm/BytecodeCompiler.h"
-#include "vm/Fusion.h"
 
 #include <algorithm>
 #include <chrono>
@@ -112,10 +106,6 @@ static int usage() {
                "[--lib NAME]... [-e EXPR]\n"
                "             [--tier off|auto|always] [--tier-threshold N] "
                "[--tier-hot-weight W]\n"
-               "             [--tier-fusion on|off] "
-               "[--tier-fusion-min-weight W] [--tier-inline on|off]\n"
-               "             [--tier-inline-max-ops N] "
-               "[--tier-inline-depth N]\n"
                "             [--fuel N] [--max-depth N] [--max-heap BYTES] "
                "[--deadline-ms N]\n"
                "             [--reclaim on|off] [--stats] [--trace F] "
@@ -124,7 +114,7 @@ static int usage() {
                "             [--strict-profile] [--annotate-wrap] "
                "[--lib NAME]... [--stats]\n"
                "             [--tier off|auto|always] [--tier-threshold N] "
-               "[--tier* knobs as above]\n"
+               "[--tier-hot-weight W]\n"
                "             [--fuel N] [--max-depth N] [--max-heap BYTES] "
                "[--deadline-ms N]\n"
                "             [--retries N] file.scm...\n"
@@ -134,8 +124,8 @@ static int usage() {
                "[--retier-threshold X]\n"
                "             [common flags as for run] file.scm...\n"
                "       pgmpi report [--top N] [--tier] [--tier-weight W] "
-               "[--fused PROG.scm]\n"
-               "             [--alloc PROG.scm] FILE...\n"
+               "[--alloc PROG.scm]\n"
+               "             FILE...\n"
                "       pgmpi profile-lint FILE...\n"
                "exit codes: 0 success, 1 failure, 2 degraded, 64 usage\n");
   return ExitUsage;
@@ -460,72 +450,6 @@ static int runServe(int Argc, char **Argv) {
   return Degraded ? 2 : 0;
 }
 
-/// `pgmpi report --fused PROG.scm`: the fused-sequence table. Runs the
-/// program, compiles every adopted lambda to raw (unfused) bytecode, and
-/// ranks the superinstruction candidates by adjacent-pair weight — each
-/// lambda's pairs weighted by its body's stored-profile weight when a
-/// profile FILE was also given, flat otherwise. "selected" marks the
-/// candidates a FusionTable re-selection would keep at the default
-/// TierPolicy::FusionMinWeight bar.
-static int reportFusedPairs(const std::string &Program,
-                            const std::string &ProfileIn) {
-  EngineOptions EOpts; // tier stays Off: we compile by hand below
-  Engine E(EOpts);
-  if (!ProfileIn.empty()) {
-    ProfileOpResult R = E.loadProfile(ProfileIn);
-    if (!R) {
-      std::fprintf(stderr, "pgmpi: %s\n", R.Error.c_str());
-      return 1;
-    }
-  }
-  EvalResult R = E.evalFile(Program);
-  if (!R.Ok) {
-    std::fprintf(stderr, "pgmpi: %s\n", R.Error.c_str());
-    return 1;
-  }
-  Context &Ctx = E.context();
-  ProfileSnapshot Snap = Ctx.ProfileDb.snapshot();
-  double Weights[NumFusionCandidates] = {};
-  double Total = 0;
-  size_t Compiled = 0;
-  VmModule Module;
-  VmCompileOptions COpts; // no fusion, no inlining: raw pair stream
-  for (const LambdaExpr *L : Ctx.TierLambdas) {
-    double W = 1.0;
-    if (Snap.hasData() && L->Body->Src)
-      W = Snap.weightOpt(L->Body->Src).value_or(0.0);
-    if (W <= 0)
-      continue;
-    try {
-      VmFunction *Fn = compileLambdaToVm(Ctx, L, Module, COpts);
-      // Census the root function only: nested lambdas are adopted (and
-      // therefore censused) in their own right.
-      accumulatePairCensus(*Fn, /*UseBlockCounts=*/false, W, Weights, Total);
-      ++Compiled;
-    } catch (const SchemeError &) {
-      // Phase-1-only body: it can never tier, so it can never fuse.
-    }
-  }
-  std::printf("fused-sequence table: %zu lambdas, total pair weight %.1f\n",
-              Compiled, Total);
-  size_t Order[NumFusionCandidates];
-  for (size_t I = 0; I < NumFusionCandidates; ++I)
-    Order[I] = I;
-  std::sort(Order, Order + NumFusionCandidates,
-            [&](size_t A, size_t B) { return Weights[A] > Weights[B]; });
-  TierPolicy Defaults;
-  std::printf("  %-24s %12s %7s %s\n", "pair", "weight", "share", "selected");
-  for (size_t I = 0; I < NumFusionCandidates; ++I) {
-    size_t C = Order[I];
-    double Share = Total > 0 ? Weights[C] / Total : 0;
-    std::printf("  %-24s %12.1f %6.1f%% %s\n", fusionCandidate(C).Name,
-                Weights[C], Share * 100,
-                Share >= Defaults.FusionMinWeight && Weights[C] > 0 ? "yes"
-                                                                    : "no");
-  }
-  return 0;
-}
-
 /// `pgmpi report --alloc PROG.scm`: the allocation-site table. Runs the
 /// program with boundary reclamation on (survival numbers only exist once
 /// regions are actually reclaimed), forces a final major collection so
@@ -603,7 +527,6 @@ static int reportAllocSites(const std::string &Program) {
 /// `pgmpi report`: hot-spot tables for stored source profiles.
 static int runReport(int Argc, char **Argv) {
   ProfileReportOptions Opts;
-  std::string FusedProgram;
   std::string AllocProgram;
   std::vector<std::string> Files;
   for (int I = 2; I < Argc; ++I) {
@@ -627,12 +550,6 @@ static int runReport(int Argc, char **Argv) {
       }
       Opts.TierHotWeight = W;
       ++I;
-    } else if (Arg == "--fused") {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "pgmpi: --fused needs a program file\n");
-        return ExitUsage;
-      }
-      FusedProgram = Argv[++I];
     } else if (Arg == "--alloc") {
       if (I + 1 >= Argc) {
         std::fprintf(stderr, "pgmpi: --alloc needs a program file\n");
@@ -646,7 +563,7 @@ static int runReport(int Argc, char **Argv) {
       Files.push_back(Arg);
     }
   }
-  if (Files.empty() && FusedProgram.empty() && AllocProgram.empty())
+  if (Files.empty() && AllocProgram.empty())
     return usage();
   for (const std::string &F : Files) {
     std::string Out, Err;
@@ -656,10 +573,6 @@ static int runReport(int Argc, char **Argv) {
     }
     std::fputs(Out.c_str(), stdout);
   }
-  if (!FusedProgram.empty())
-    if (int Rc = reportFusedPairs(
-            FusedProgram, Files.empty() ? std::string() : Files.front()))
-      return Rc;
   if (!AllocProgram.empty())
     return reportAllocSites(AllocProgram);
   return 0;
