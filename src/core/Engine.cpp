@@ -3,7 +3,6 @@
 #include "core/Engine.h"
 
 #include "core/PgmpApi.h"
-#include "core/ProfileSession.h"
 #include "interp/Compiler.h"
 #include "interp/Eval.h"
 #include "interp/Prims.h"
@@ -47,10 +46,6 @@ Engine::Engine(const EngineOptions &Opts) : Ctx(), Exp(Ctx) {
   Ctx.Reclaim = Opts.Reclaim;
   if (Opts.Tier.Mode != TierMode::Off)
     installVm(Ctx);
-  // Continuous profiling arms the ExecGuard poll point after the guards:
-  // configurePoll recomputes Active, so a poll interval alone is enough
-  // to route execution through the guarded instantiations.
-  attachContinuousProfile(Ctx, Opts.ContinuousProfile, Opts.Bus);
   if (!Opts.TracePath.empty())
     configureTracePath(Opts.TracePath);
 }
@@ -260,8 +255,6 @@ ProfileOpResult Engine::storeProfile(const std::string &Path) {
 ProfileOpResult Engine::loadProfile(const std::string &Path) {
   return pgmpapi::loadProfile(Ctx, Path);
 }
-
-bool Engine::observeProfileEpoch() { return pollContinuousProfile(Ctx); }
 
 void Engine::configureTracePath(const std::string &Path) {
   TracePath = Path;

@@ -133,20 +133,6 @@ public:
                                    uint32_t End);
 
   //===--------------------------------------------------------------------===//
-  // Continuous profiling (EngineOptions::ContinuousProfile)
-  //===--------------------------------------------------------------------===//
-
-  /// The bus this engine publishes to, or null when continuous profiling
-  /// is off. Engine-hosted unless EngineOptions::Bus supplied one.
-  ProfileBus *bus() { return Ctx.Bus; }
-
-  /// Forces one publish + epoch check outside the ExecGuard poll cadence
-  /// (the same routine the poll hook runs). Returns true when a new epoch
-  /// was observed and tier decisions were re-evaluated. No-op (false)
-  /// when continuous profiling is off.
-  bool observeProfileEpoch();
-
-  //===--------------------------------------------------------------------===//
   // Observability (phase timers, self-metrics, trace export)
   //===--------------------------------------------------------------------===//
 

@@ -33,26 +33,10 @@ namespace pgmp {
 
 enum class AnnotateMode : uint8_t; // interp/Context.h
 enum class ReclaimMode : uint8_t;  // syntax/Heap.h
-class ProfileBus;                  // profile/ProfileBus.h
 
-/// Continuous profiling configuration (the long-lived serving mode; see
-/// DESIGN.md "Continuous profiling & re-tiering"). Off by default —
-/// IntervalCharges == 0 leaves the classic one-shot profile lifecycle
-/// untouched and costs nothing at runtime.
+/// Retired: ignored, set by pgmpbench; the next benchmark change drops it.
 struct ContinuousProfileOptions {
-  /// Fuel charges between counter publishes to the ProfileBus (the
-  /// ExecGuard poll point). 0 disables continuous profiling.
   uint64_t IntervalCharges = 0;
-
-  /// Publishes after which a point's decayed bus contribution halves
-  /// (the aggregation window, measured in publishes).
-  double DecayHalfLife = 8.0;
-
-  /// Hot-set churn fraction at or above which the bus publishes a new
-  /// epoch and engines re-evaluate tier decisions.
-  double RetierThreshold = 0.25;
-
-  bool enabled() const { return IntervalCharges != 0; }
 };
 
 /// Construction-time configuration for one Engine (or every worker of an
@@ -124,21 +108,8 @@ struct EngineOptions {
   /// Mirror diagnostics to stderr as they are reported.
   bool EchoDiagnostics = false;
 
-  //===--------------------------------------------------------------------===//
-  // Continuous profiling (profile/ProfileBus.h)
-  //===--------------------------------------------------------------------===//
-
-  /// Enables the continuous profiling service when
-  /// ContinuousProfile.IntervalCharges is nonzero: the engine publishes
-  /// its counters to a ProfileBus at the ExecGuard poll point and
-  /// re-evaluates tier decisions whenever the bus publishes a new epoch.
+  /// Retired: ignored, set by pgmpbench; the next benchmark change drops it.
   ContinuousProfileOptions ContinuousProfile;
-
-  /// The bus to publish to. Null (the default) makes the engine host its
-  /// own private bus; EnginePool passes every worker the aggregator it
-  /// owns (EnginePool::PoolBus) so the pool shares one decayed profile.
-  /// The bus must outlive the Engine.
-  ProfileBus *Bus = nullptr;
 };
 
 } // namespace pgmp

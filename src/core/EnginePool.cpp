@@ -2,8 +2,7 @@
 
 #include "core/EnginePool.h"
 
-#include "core/ProfileSession.h"
-#include "profile/ProfileBus.h"
+#include "core/PgmpApi.h"
 
 #include <chrono>
 #include <thread>
@@ -18,18 +17,6 @@ EnginePool::EnginePool(size_t Jobs, const EngineOptions &Opts,
     : Opts(Opts), Policy(Policy) {
   if (Jobs == 0)
     Jobs = 1;
-  // Continuous profiling across a pool shares ONE aggregator, hosted by
-  // the coordinator (worker 0's thread): the pool owns it — never a
-  // worker, so fault-isolation replacement of any worker (including 0)
-  // cannot dangle the other publishers — and hands every worker the same
-  // bus through its options.
-  if (this->Opts.ContinuousProfile.enabled() && !this->Opts.Bus) {
-    ProfileBusOptions BO;
-    BO.DecayHalfLife = this->Opts.ContinuousProfile.DecayHalfLife;
-    BO.RetierThreshold = this->Opts.ContinuousProfile.RetierThreshold;
-    PoolBus = std::make_unique<ProfileBus>(BO);
-    this->Opts.Bus = PoolBus.get();
-  }
   Workers.reserve(Jobs);
   for (size_t I = 0; I < Jobs; ++I)
     Workers.push_back(std::make_unique<Engine>(this->Opts));
@@ -211,10 +198,7 @@ ProfileOpResult EnginePool::storeMergedProfile(const std::string &Path) {
     ScopedPhase Timer(C0.Stats, &C0.Trace, Phase::CounterFold);
     mergeCountersInto(Merged, C0.Sources);
   }
-  // The file store is just one transport under the unified lifecycle:
-  // persist through it, then commit (the transport owns the I/O phase).
-  FileProfileTransport Transport(Path);
-  if (ProfileOpResult P = Transport.persist(C0, Merged); !P)
+  if (ProfileOpResult P = pgmpapi::writeProfileFile(C0, Merged, Path); !P)
     return P;
   uint64_t DatasetsFolded = Merged.numDatasets() - Before;
   for (std::unique_ptr<Engine> &W : Workers) {

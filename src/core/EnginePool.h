@@ -150,11 +150,12 @@ public:
   /// be compiled (mirrors pgmpi's pre-registration).
   void preRegisterFile(const std::string &Path);
 
-  /// The shared continuous-profiling aggregator every worker publishes
-  /// to, or null when continuous profiling is off. Hosted by the
-  /// coordinator (worker 0's thread) and owned by the pool itself, so
-  /// fault-isolation replacement of any worker never dangles it.
-  ProfileBus *bus() { return PoolBus ? PoolBus.get() : Opts.Bus; }
+  /// Retired: always null, read by pgmpbench; the next benchmark change
+  /// drops bus() and RetiredBus.
+  struct RetiredBus {
+    uint64_t epochsPublished() const { return 0; }
+  };
+  RetiredBus *bus() { return nullptr; }
 
 private:
   /// Builds a replacement engine with the pool's options, replaying
@@ -165,7 +166,6 @@ private:
   std::vector<std::unique_ptr<Engine>> Workers;
   EngineOptions Opts;
   FaultPolicy Policy;
-  std::unique_ptr<ProfileBus> PoolBus; ///< pool-hosted aggregator, if any
   std::vector<std::string> PreRegistered; ///< replayed into fresh workers
   std::string LoadedProfilePath;          ///< ditto, when non-empty
 };

@@ -2,14 +2,14 @@
 
 #include "core/PgmpApi.h"
 
-#include "core/ProfileSession.h"
 #include "interp/PrimsCommon.h"
+#include "profile/ProfileIO.h"
 #include "profile/ProfileReport.h"
+#include "support/FaultInjector.h"
 #include "syntax/Syntax.h"
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 using namespace pgmp;
@@ -67,20 +67,92 @@ const SourceObject *pgmp::pgmpapi::point(const Value &ExprOrPoint) {
   return syntaxSource(ExprOrPoint);
 }
 
-// The store/load entry points are one-shot ProfileSessions over the file
-// transport: the session owns the fold/commit protocol and fault-injection
-// points, the transport owns the file I/O — see core/ProfileSession.h.
+ProfileOpResult pgmp::pgmpapi::writeProfileFile(Context &Ctx,
+                                                const ProfileDatabase &Db,
+                                                const std::string &Path) {
+  std::string Err;
+  ScopedPhase Timer(Ctx.Stats, &Ctx.Trace, Phase::ProfileStore);
+  if (!storeProfileFile(Db, Path, &Ctx.SrcMgr, &Err))
+    return ProfileOpResult::failure("cannot write profile file: " + Path +
+                                    " (" + Err + ")");
+  return ProfileOpResult{};
+}
 
 ProfileOpResult pgmp::pgmpapi::storeProfile(Context &Ctx,
                                             const std::string &Path) {
-  ProfileSession S(Ctx, std::make_unique<FileProfileTransport>(Path));
-  return S.commit();
+  ProfileOpResult R;
+  Ctx.Stats.bump(Stat::ProfileStores);
+  // Injected before anything is copied or folded: a failed store must
+  // leave the live counters and the database exactly as they were.
+  if (faultinject::shouldFail(faultinject::Point::ProfileStore))
+    return ProfileOpResult::failure(
+        "injected fault at phase boundary: profile-store (counters preserved)");
+  // Serialize a snapshot that already includes the live counters, but
+  // fold-and-reset only after the file is safely written: a failed store
+  // must not destroy the counter data it failed to persist.
+  ProfileDatabase Snapshot = Ctx.ProfileDb;
+  {
+    ScopedPhase Timer(Ctx.Stats, &Ctx.Trace, Phase::CounterFold);
+    Snapshot.addDataset(Ctx.Counters);
+  }
+  if (ProfileOpResult P = writeProfileFile(Ctx, Snapshot, Path); !P)
+    return P;
+  uint64_t Increments = Ctx.Counters.totalIncrements();
+  bool CountersFolded = Snapshot.numDatasets() > Ctx.ProfileDb.numDatasets();
+  Ctx.Stats.bump(Stat::CounterIncrements, Increments);
+  Ctx.ProfileDb.addDataset(Ctx.Counters);
+  Ctx.Counters.reset();
+  if (CountersFolded)
+    Ctx.Stats.bump(Stat::DatasetMerges);
+  R.DatasetsMerged = CountersFolded ? 1 : 0;
+  R.PointsLoaded = Snapshot.numPoints();
+  return R;
 }
 
 ProfileOpResult pgmp::pgmpapi::loadProfile(Context &Ctx,
                                            const std::string &Path) {
-  ProfileSession S(Ctx, std::make_unique<FileProfileTransport>(Path));
-  return S.restore();
+  ProfileOpResult R;
+  Ctx.Stats.bump(Stat::ProfileLoads);
+  // Injected before the file is touched, so nothing merges: the same
+  // no-partial-effects contract a real I/O failure provides.
+  if (faultinject::shouldFail(faultinject::Point::ProfileLoad))
+    return ProfileOpResult::failure(
+        "injected fault at phase boundary: profile-load");
+  std::string Err;
+  ProfileLoadReport Report;
+  bool Ok;
+  {
+    ScopedPhase Timer(Ctx.Stats, &Ctx.Trace, Phase::ProfileLoad);
+    Ok = loadProfileFile(Path, Ctx.Sources, Ctx.ProfileDb, Err, &Ctx.SrcMgr,
+                         &Report);
+  }
+  if (Ok) {
+    // Single funnel for load warnings: attach the path once and forward
+    // to the diagnostic sink; the result carries a copy for the caller.
+    Ctx.Diags.reportAll(DiagKind::Warning, Path, Report.Warnings);
+    R.Warnings = Report.Warnings;
+    R.DatasetsMerged = Report.NumDatasets;
+    R.PointsLoaded = Report.NumPoints;
+    Ctx.Stats.bump(Stat::DatasetMerges, Report.NumDatasets);
+    Ctx.Stats.bump(Stat::ProfilePointsLoaded, Report.NumPoints);
+    return R;
+  }
+  // Degradation policy: corrupt, stale, or malformed profiles are data
+  // problems, not program errors — warn and continue unoptimized
+  // (profile-data-available? stays #f because nothing was merged). A
+  // missing or unreadable file, and any failure in strict mode, stays an
+  // error.
+  bool Degradable = Report.Status == ProfileLoadStatus::Malformed ||
+                    Report.Status == ProfileLoadStatus::Corrupt ||
+                    Report.Status == ProfileLoadStatus::Stale;
+  if (!Degradable || Ctx.StrictProfile)
+    return ProfileOpResult::failure(std::move(Err));
+  R.Status = ProfileOpStatus::Degraded;
+  R.Error = Err;
+  R.Warnings.push_back("ignoring profile: " + Err +
+                       "; continuing without profile data");
+  Ctx.Diags.reportAll(DiagKind::Warning, Path, R.Warnings);
+  return R;
 }
 
 //===----------------------------------------------------------------------===//

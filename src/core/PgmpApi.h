@@ -30,9 +30,9 @@
 /// in the no-data / no-point cases, or check (profile-data-available?)
 /// first. The C++ side reads through one surface: ProfileSnapshot
 /// (Engine::snapshot() / pgmpapi::snapshot), whose weight() collapses and
-/// whose weightOpt() distinguishes. The store/load functions below are
-/// conveniences over core/ProfileSession.h, the unified profile-lifecycle
-/// API (open → observe epochs → commit).
+/// whose weightOpt() distinguishes. The store/load functions below move
+/// a profile between sessions through a profile file (profile/ProfileIO.h):
+/// instrument, store-profile, then load-profile into the next compile.
 ///
 /// A profile point is represented as a syntax object whose source object
 /// is the point — uniformly with "an object with an associated profile
@@ -74,15 +74,20 @@ const SourceObject *point(const Value &ExprOrPoint);
 
 /// store-profile: folds the live counters into the database as one data
 /// set, resets the counters, then serializes the database. On failure
-/// the live counters are preserved. Equivalent to committing a
-/// ProfileSession over a FileProfileTransport.
+/// the live counters are preserved: the folded snapshot is written first,
+/// and the live counters are folded and reset only once it is on disk.
 ProfileOpResult storeProfile(Context &Ctx, const std::string &Path);
+
+/// The file half of storeProfile (and EnginePool::storeMergedProfile):
+/// writes \p Db atomically to \p Path under Phase::ProfileStore. Touches
+/// neither \p Ctx's counters nor its database.
+ProfileOpResult writeProfileFile(Context &Ctx, const ProfileDatabase &Db,
+                                 const std::string &Path);
 
 /// load-profile: merges a stored database into the current one. Under the
 /// default degradation policy a corrupt/stale/malformed file yields
 /// Status Degraded (nothing merged, warning through Diagnostics); in
 /// strict mode, and for missing/unreadable files, Status Failed.
-/// Equivalent to restoring a ProfileSession over a FileProfileTransport.
 ProfileOpResult loadProfile(Context &Ctx, const std::string &Path);
 
 } // namespace pgmpapi

@@ -490,9 +490,7 @@ Expr *CompilerImpl::compileLambda(const std::vector<Value> &Elems, Value Stx,
       Ctx.Stats.bump(Stat::TierPremarkedHot);
     }
   }
-  // Registered on the unit (and, via adoptCode, on Context::TierLambdas)
-  // so the continuous-profiling epoch walk can revisit this decision.
-  Unit.Lambdas.push_back(L);
+  Unit.HasLambdas = true;
   return L;
 }
 

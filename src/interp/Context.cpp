@@ -78,8 +78,6 @@ const ExpBinding *Context::meaningOf(BindingLabel Label) const {
 }
 
 void Context::adoptCode(std::unique_ptr<CodeUnit> Unit) {
-  TierLambdas.insert(TierLambdas.end(), Unit->Lambdas.begin(),
-                     Unit->Lambdas.end());
   Code.push_back(std::move(Unit));
 }
 
@@ -105,11 +103,6 @@ bool Context::reclaimAtBoundary(bool ForceMajor) {
   if (R.Aborted)
     Stats.bump(Stat::ReclaimAborts);
   return true;
-}
-
-void Context::reselectReclaimPolicy() {
-  if (TheHeap.selectReclaimPolicy())
-    Stats.bump(Stat::ReclaimPolicyEpochs);
 }
 
 void Context::writeOutput(const std::string &S) {

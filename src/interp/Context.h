@@ -13,7 +13,6 @@
 
 #include "expander/Binding.h"
 #include "interp/TierPolicy.h"
-#include "profile/ProfileBus.h"
 #include "profile/ProfileDatabase.h"
 #include "profile/ShardedCounterStore.h"
 #include "profile/SourceObject.h"
@@ -119,12 +118,6 @@ public:
   /// pools.
   void traceGcRoots(GcVisitor &V);
 
-  /// Re-derives the heap's reclamation policy from the current
-  /// allocation-site profile (Heap::selectReclaimPolicy); bumps
-  /// Stat::ReclaimPolicyEpochs when the policy actually changed. Called
-  /// per ProfileBus epoch.
-  void reselectReclaimPolicy();
-
   //===--------------------------------------------------------------------===//
   // Tiered execution (interp -> VM promotion of hot closures)
   //===--------------------------------------------------------------------===//
@@ -146,26 +139,6 @@ public:
   /// when tiering is off, so a null check is the only coupling the
   /// interpreter has to the VM's existence.
   std::shared_ptr<TierBackend> Backend;
-
-  //===--------------------------------------------------------------------===//
-  // Continuous profiling (profile/ProfileBus.h, core/ProfileSession.h)
-  //===--------------------------------------------------------------------===//
-
-  /// The bus this engine publishes its counters to (and re-tiers from);
-  /// null when continuous profiling is off. Points at OwnedBus for a
-  /// self-hosted engine, or at the pool-owned aggregator (worker 0 hosts
-  /// it) for EnginePool workers.
-  ProfileBus *Bus = nullptr;
-  std::unique_ptr<ProfileBus> OwnedBus;
-  uint64_t BusPublisher = 0;   ///< this engine's publisher id on Bus
-  uint64_t BusSeenVersion = 0; ///< last epoch version applied (re-tier)
-  /// Counter slot -> bus key, in counter registration order. Grown lazily
-  /// at publish time so steady-state publishes rebuild no strings.
-  std::vector<BusPointKey> BusKeyCache;
-  /// Every lambda of every adopted CodeUnit, for the epoch re-tier walk.
-  /// Only *adopted* units register, so a unit discarded by a failed eval
-  /// never leaves dangling pointers here.
-  std::vector<const LambdaExpr *> TierLambdas;
 
   //===--------------------------------------------------------------------===//
   // Pipeline observability

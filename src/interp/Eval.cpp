@@ -61,10 +61,6 @@ const VmFunction *pgmp::tieredFunctionFor(Context &Ctx, const LambdaExpr *L) {
   if (Ctx.Tier.Mode == TierMode::Auto && !L->TierHot &&
       ++L->TierInvokes < Ctx.Tier.Threshold)
     return nullptr;
-  // A demoted lambda that earns its tier back by invocation count gets
-  // its parked body back: each lambda tier-compiles at most once.
-  if (L->TierCache)
-    return L->Tiered = L->TierCache;
   return Ctx.Backend->compile(Ctx, L);
 }
 

@@ -105,11 +105,6 @@ public:
   mutable uint32_t TierInvokes = 0; ///< applies observed pre-tier (Auto)
   mutable bool TierHot = false;     ///< pre-marked hot by a loaded profile
   mutable bool TierBlocked = false; ///< VM compile failed (phase-1 nodes)
-  /// Compiled body parked by a continuous-profiling demotion. A demoted
-  /// closure interprets again (Tiered null) but keeps its bytecode here,
-  /// so a later re-promotion is a pointer swap, not a recompile — and is
-  /// never confused with TierBlocked.
-  mutable const VmFunction *TierCache = nullptr;
 
   size_t numSlots() const { return Params.size() + (HasRest ? 1 : 0); }
 };
@@ -221,14 +216,11 @@ public:
   /// are request-shaped, and a run-boundary reclamation may drop them
   /// instead of keeping them for the session.
   bool selfContained() const {
-    return Lambdas.empty() && Patterns.empty() && Templates.empty();
+    return !HasLambdas && Patterns.empty() && Templates.empty();
   }
 
-  /// Every lambda compiled into this unit, in compile order. The
-  /// continuous-profiling re-tier walk (ProfileSession) iterates these to
-  /// promote/demote against a fresh epoch; the unit outlives its closures,
-  /// so the pointers stay valid for the session.
-  std::vector<const LambdaExpr *> Lambdas;
+  /// Set when a lambda is compiled into this unit.
+  bool HasLambdas = false;
 
   Expr *Root = nullptr;
 

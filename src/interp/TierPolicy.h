@@ -33,9 +33,9 @@ struct TierPolicy {
   /// Auto mode: invocations before a closure tiers up.
   uint32_t Threshold = 64;
 
-  /// Loaded-profile (or bus-epoch) weight at or above which a closure
-  /// body is considered known-hot: it pre-marks at compile time and
-  /// re-tiers at epoch boundaries (profile-guided pre-tiering).
+  /// Loaded-profile weight at or above which a closure body is
+  /// considered known-hot: it pre-marks at compile time and tiers up on
+  /// its first invocation (profile-guided pre-tiering).
   double HotWeight = 0.05;
 };
 

@@ -35,21 +35,8 @@ void ExecGuard::configure(uint64_t Fuel, uint32_t MaxDepth,
   FuelLimit = Fuel;
   DepthLimit = MaxDepth;
   DeadlineNanos = DeadlineMs * 1000000ull;
-  recomputeActive();
+  Active = FuelLimit != 0 || DepthLimit != 0 || DeadlineNanos != 0;
   beginRun();
-}
-
-void ExecGuard::configurePoll(uint64_t Every, PollFn Fn, void *Arg) {
-  PollEvery = Every;
-  Poll = Every ? Fn : nullptr;
-  PollArg = Every ? Arg : nullptr;
-  PollTick = 0;
-  recomputeActive();
-}
-
-void ExecGuard::recomputeActive() {
-  Active = FuelLimit != 0 || DepthLimit != 0 || DeadlineNanos != 0 ||
-           PollEvery != 0;
 }
 
 void ExecGuard::beginRun() {

@@ -107,29 +107,9 @@ public:
   uint32_t Depth = 0;
   uint64_t DeadlineAt = 0; ///< absolute steady-clock ns; 0 = unarmed
 
-  //===--------------------------------------------------------------------===//
-  // Periodic poll hook (continuous profiling)
-  //===--------------------------------------------------------------------===//
-
-  /// Callback invoked from chargeFuel every PollEvery charges — the
-  /// "ExecGuard poll point" the continuous profiling service rides: it
-  /// publishes counter totals to the ProfileBus and applies any new epoch.
-  /// Must not allocate on the Scheme heap or re-enter evaluation.
-  using PollFn = void (*)(void *);
-
-  uint64_t PollEvery = 0; ///< fuel charges between polls; 0 = no hook
-  PollFn Poll = nullptr;
-  void *PollArg = nullptr;
-
   /// Sets the limits and recomputes Active. Called at Engine construction
   /// (after the prelude loads, so the prelude itself is never governed).
   void configure(uint64_t Fuel, uint32_t MaxDepth, uint64_t DeadlineMs);
-
-  /// Installs (or clears, Every == 0) the periodic poll hook and
-  /// recomputes Active — a poll hook alone is enough to arm the guarded
-  /// instantiations, which is how continuous profiling works without any
-  /// resource limit configured.
-  void configurePoll(uint64_t Every, PollFn Fn, void *Arg);
 
   /// Resets live usage and arms the deadline. Called at every Engine run
   /// boundary — which is also what makes an Engine reusable after a trip:
@@ -137,17 +117,12 @@ public:
   void beginRun();
 
   /// Charges one fuel unit; trips on exhaustion. Polls the deadline every
-  /// 1024 charges and the poll hook every PollEvery charges. Call only
-  /// when Active.
+  /// 1024 charges. Call only when Active.
   void chargeFuel() {
     if (FuelLimit && ++FuelUsed > FuelLimit)
       tripFuel();
     if (DeadlineAt && (++DeadlineTick & 1023u) == 0)
       pollDeadline();
-    if (PollEvery && ++PollTick >= PollEvery) {
-      PollTick = 0;
-      Poll(PollArg);
-    }
   }
 
   /// Non-tail application entry: one fuel unit plus one depth level.
@@ -167,9 +142,6 @@ private:
   void pollDeadline(); ///< trips (noreturn) only when the deadline passed
 
   uint32_t DeadlineTick = 0;
-  uint64_t PollTick = 0;
-
-  void recomputeActive();
 };
 
 } // namespace pgmp

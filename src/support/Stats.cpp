@@ -84,8 +84,6 @@ const char *StatsRegistry::statName(Stat S) {
     return "task-retries";
   case Stat::BusPublishes:
     return "bus-publishes";
-  case Stat::BusEpochs:
-    return "bus-epochs";
   case Stat::RetierPromotions:
     return "retier-promotions";
   case Stat::RetierDemotions:
@@ -104,8 +102,6 @@ const char *StatsRegistry::statName(Stat S) {
     return "reclaims";
   case Stat::ReclaimAborts:
     return "reclaim-aborts";
-  case Stat::ReclaimPolicyEpochs:
-    return "reclaim-policy-epochs";
   }
   return "?";
 }

@@ -66,20 +66,18 @@ enum class Stat : uint8_t {
   TierPremarkedHot,   ///< lambdas pre-marked hot from a loaded profile
   GuardTrips,         ///< runs aborted by an ExecGuard resource limit
   TaskRetries,        ///< EnginePool tasks re-run on a fresh worker
-  BusPublishes,       ///< counter snapshots published to a ProfileBus
-  BusEpochs,          ///< bus epochs observed and applied by this engine
-  RetierPromotions,   ///< lambdas marked hot by an epoch (re-tiering)
-  RetierDemotions,    ///< stale-hot lambdas demoted to interpretation
+  BusPublishes,       ///< retired: always 0, read by pgmpbench
+  RetierPromotions,   ///< retired: always 0, read by pgmpbench
+  RetierDemotions,    ///< retired: always 0, read by pgmpbench
   SuperinstructionsFused, ///< retired: always 0, read by pgmpbench
   TierInlines,        ///< retired: always 0, read by pgmpbench
   TierInlineFallbacks, ///< retired: always 0, read by pgmpbench
   FusionEpochs,       ///< retired: always 0, read by pgmpbench
   TierInvalidations,  ///< retired: always 0, read by pgmpbench
   Reclaims,           ///< boundary region reclamations run (Heap::collect)
-  ReclaimAborts,      ///< reclamations degraded by an evac alloc failure
-  ReclaimPolicyEpochs ///< reclaim-policy re-selections that changed it
+  ReclaimAborts       ///< reclamations degraded by an evac alloc failure
 };
-inline constexpr size_t NumStats = 31;
+inline constexpr size_t NumStats = 29;
 
 /// Monotonic clock in nanoseconds (steady_clock).
 uint64_t statsNowNanos();

@@ -469,8 +469,7 @@ Heap::ReclaimResult Heap::collect(const RootEnumerator &Roots,
   Forwarded.clear();
   FromRanges.clear();
 
-  // Self-scheduled policy refresh for engines without a ProfileBus epoch
-  // driving re-selection.
+  // Self-scheduled policy refresh from the site profile seen so far.
   if (++CollectsSinceSelect >= PolicySelectInterval) {
     CollectsSinceSelect = 0;
     selectReclaimPolicy();

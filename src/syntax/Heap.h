@@ -456,9 +456,8 @@ public:
 
   /// Re-derives the reclamation policy from the current site profiles.
   /// Deterministic in the profile; bumps Policy.Epoch (and returns true)
-  /// only when the selection actually changed. Called per ProfileBus
-  /// epoch by the continuous-profiling path, and self-scheduled every
-  /// PolicySelectInterval collections otherwise.
+  /// only when the selection actually changed. Self-scheduled every
+  /// PolicySelectInterval collections.
   bool selectReclaimPolicy();
 
   const ReclaimPolicy &reclaimPolicy() const { return Policy; }
@@ -498,8 +497,7 @@ public:
   /// paying a stats-enabled branch per allocation.
   void appendStats(std::vector<std::pair<std::string, uint64_t>> &Out) const;
 
-  /// Collections between self-scheduled policy re-selections (when no
-  /// ProfileBus epoch is driving them).
+  /// Collections between self-scheduled policy re-selections.
   static constexpr uint64_t PolicySelectInterval = 64;
 
 private:

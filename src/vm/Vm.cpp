@@ -470,8 +470,8 @@ namespace {
 /// bytecode execution. Each tiered lambda gets its own little module,
 /// owned here; modules live as long as the backend (i.e. the Context,
 /// which holds it by shared_ptr) because closures keep running their
-/// code. A lambda compiles at most once: a demotion parks its body in
-/// LambdaExpr::TierCache and a later promotion restores it.
+/// code. A lambda compiles at most once: its body stays in
+/// LambdaExpr::Tiered for the session.
 class VmTierBackend : public TierBackend {
 public:
   const VmFunction *compile(Context &Ctx, const LambdaExpr *L) override {

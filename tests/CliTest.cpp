@@ -65,6 +65,16 @@ TEST(Cli, UsageErrorsExitSixtyFour) {
   EXPECT_EQ(pgmpi("run --jobs 0 --profile-out /tmp/x.profile " + Script), 64);
 }
 
+TEST(Cli, RemovedServeFlagsExitSixtyFour) {
+  std::string Script = writeScript("serve.scm", Workload);
+  std::string Trace = writeScript("trace.txt", "(hot 10)\n(hot 20)\n");
+  std::string Serve = "serve --replay " + Trace + " --jobs 1 ";
+  ASSERT_EQ(pgmpi(Serve + Script), 0) << "the control invocation must serve";
+  EXPECT_EQ(pgmpi(Serve + "--interval-charges 256 " + Script), 64);
+  EXPECT_EQ(pgmpi(Serve + "--decay-half-life 2 " + Script), 64);
+  EXPECT_EQ(pgmpi(Serve + "--retier-threshold 0.5 " + Script), 64);
+}
+
 TEST(Cli, GuardTripExitsOne) {
   EXPECT_EQ(pgmpi("--fuel 100 -e '(define (sp n) (sp (+ n 1))) (sp 0)'"), 1);
   EXPECT_EQ(pgmpi("--deadline-ms 20 -e '(define (sp n) (sp (+ n 1))) (sp 0)'"),

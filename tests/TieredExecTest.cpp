@@ -12,14 +12,18 @@
 //     whose bodies contain phase-1-only nodes (syntax-case) fall back to
 //     the interpreter permanently instead of erroring;
 //   - Auto mode respects the invocation threshold, and a loaded profile
-//     pre-marks hot closures so they tier on first invocation.
+//     pre-marks hot closures so they tier on first invocation;
+//   - each lambda tier-compiles at most once, however often the hot set
+//     shifts between closures.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include "interp/Expr.h"
 #include "profile/ShardedCounterStore.h"
 #include "support/AtomicFile.h"
+#include "vm/Bytecode.h"
 
 using namespace pgmp;
 using namespace pgmp::testutil;
@@ -192,6 +196,44 @@ TEST(TieredExec, LoadedProfilePremarksHotClosures) {
   ASSERT_TRUE(E.evalString(InteropWorkload, "workload.scm").Ok);
   EXPECT_GE(E.stats().count(Stat::TierUps), 1u)
       << "pre-marked closures tier on first invocation";
+}
+
+TEST(TieredExec, SkewFlipTierCompilesEachLambdaOnce) {
+  // The serve-skewflip shape in one engine: the hot closure flips from
+  // work-a to work-b, then does so again.
+  Engine E(withTier(TierMode::Auto, 64, /*Instrument=*/true, /*Stats=*/true));
+  ASSERT_TRUE(
+      E.evalString("(define (work-a n) (if (= n 0) 0 (+ 1 (work-a (- n 1)))))\n"
+                   "(define (work-b n) (if (= n 0) 0 (+ 2 (work-b (- n 1)))))",
+                   "work.scm")
+          .Ok);
+  auto Flip = [&E] {
+    for (int I = 0; I < 50; ++I)
+      evalOk(E, "(work-a 200)");
+    for (int I = 0; I < 50; ++I)
+      evalOk(E, "(work-b 200)");
+  };
+  Flip();
+  // The program's only lambdas are work-a and work-b. Every tier-up is
+  // still held by one of them: no lambda compiled twice. Tier-up bodies
+  // carry source counters only, never block counters.
+  uint64_t Held = 0;
+  for (const char *Name : {"work-a", "work-b"}) {
+    Context &Ctx = E.context();
+    Value V = *Ctx.globalCell(Ctx.Symbols.intern(Name));
+    ASSERT_TRUE(V.isClosure()) << Name;
+    const VmFunction *Fn = V.asClosure()->Template->Tiered;
+    if (!Fn)
+      continue;
+    ++Held;
+    std::string Code = disassemble(*Fn);
+    EXPECT_EQ(Code.find("    profile "), std::string::npos) << Code;
+  }
+  EXPECT_EQ(Held, 2u) << "work-a and work-b both cross the threshold";
+  EXPECT_EQ(E.stats().count(Stat::TierUps), Held);
+  Flip();
+  EXPECT_EQ(E.stats().count(Stat::TierUps), Held)
+      << "a second flip must reuse the compiled bodies";
 }
 
 TEST(TieredExec, TierCompileTimeIsMeasured) {

@@ -153,23 +153,6 @@ bool parseCommonFlag(int Argc, char **Argv, int &I, CliOptions &O) {
     }
   }
 
-  // Continuous profiling (serve).
-  else if (O.ContinuousFlags && Arg == "--interval-charges")
-    O.Engine.ContinuousProfile.IntervalCharges = static_cast<uint64_t>(
-        positive("--interval-charges", Value("--interval-charges")));
-  else if (O.ContinuousFlags && Arg == "--decay-half-life")
-    O.Engine.ContinuousProfile.DecayHalfLife =
-        positiveReal("--decay-half-life", Value("--decay-half-life"));
-  else if (O.ContinuousFlags && Arg == "--retier-threshold") {
-    double T = positiveReal("--retier-threshold", Value("--retier-threshold"));
-    if (T > 1.0) {
-      std::fprintf(stderr,
-                   "pgmpi: --retier-threshold needs a fraction in (0, 1]\n");
-      std::exit(ExitUsage);
-    }
-    O.Engine.ContinuousProfile.RetierThreshold = T;
-  }
-
   else
     return false;
   return true;

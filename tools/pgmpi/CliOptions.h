@@ -36,8 +36,8 @@ inline constexpr int ExitUsage = 64;
 
 /// Accumulated result of parsing the shared flag families.
 struct CliOptions {
-  /// Receives guard limits, tier policy, strictness, annotate mode,
-  /// stats, and continuous-profile settings directly.
+  /// Receives guard limits, tier policy, strictness, annotate mode and
+  /// stats directly.
   pgmp::EngineOptions Engine;
 
   std::string ProfileOut; ///< --profile-out FILE
@@ -55,10 +55,6 @@ struct CliOptions {
   /// Accept --jobs / --retries (run, serve). Off for plain `pgmpi`, so
   /// its unknown-option contract is unchanged.
   bool PoolFlags = false;
-
-  /// Accept --interval-charges / --decay-half-life / --retier-threshold
-  /// (serve).
-  bool ContinuousFlags = false;
 };
 
 /// Tries Argv[I] as one of the shared flags, consuming its value (and

@@ -29,17 +29,15 @@
 ///     --annotate-wrap, and --stats with their usual meanings.
 ///
 ///   pgmpi serve --replay TRACE [--repeat N] [--jobs N] [options] file.scm...
-///     long-lived continuous-profiling mode: the workload files are
-///     loaded instrumented on N workers, then TRACE (one Scheme request
-///     per line; `;` comments and blank lines skipped) is replayed
+///     long-lived serving mode: the workload files are loaded
+///     instrumented on N workers, then TRACE (one Scheme request per
+///     line; `;` comments and blank lines skipped) is replayed
 ///     round-robin across the workers, --repeat times end-to-end (soaks
-///     use this to drive millions of requests from a small trace). Each engine publishes its counters
-///     to the pool's ProfileBus every --interval-charges fuel charges
-///     (default 4096); when the decayed hot set churns past
-///     --retier-threshold the bus publishes a new epoch and the workers
-///     re-evaluate tier decisions mid-run — no restart. A summary with
-///     publish/epoch/re-tier counts and per-half replay times goes to
-///     stderr; --profile-out stores the merged profile at the end.
+///     use this to drive millions of requests from a small trace).
+///     Closures tier up by invocation count, or at once when the
+///     --profile-in profile marks them hot. A summary with request and
+///     tier-up counts and per-half replay times goes to stderr;
+///     --profile-out stores the merged profile at the end.
 ///
 ///   pgmpi report [--top N] [--alloc PROG.scm] FILE...
 ///     hot-spot report for stored source profiles: the top-N points by
@@ -77,7 +75,6 @@
 #include "CliOptions.h"
 #include "core/Engine.h"
 #include "core/EnginePool.h"
-#include "profile/ProfileBus.h"
 #include "profile/ProfileIO.h"
 #include "profile/ProfileReport.h"
 #include "support/AtomicFile.h"
@@ -120,8 +117,6 @@ static int usage() {
                "             [--retries N] file.scm...\n"
                "       pgmpi serve --replay TRACE [--repeat N] [--jobs N] "
                "[--profile-out F] [--profile-in F]\n"
-               "             [--interval-charges N] [--decay-half-life X] "
-               "[--retier-threshold X]\n"
                "             [common flags as for run] file.scm...\n"
                "       pgmpi report [--top N] [--tier] [--tier-weight W] "
                "[--alloc PROG.scm]\n"
@@ -229,22 +224,17 @@ static int runParallel(int Argc, char **Argv) {
   return Degraded ? 2 : 0;
 }
 
-/// `pgmpi serve`: the long-lived continuous-profiling mode. Loads the
-/// workload instrumented, then replays a request trace round-robin across
-/// the pool while every engine publishes counters to the shared
-/// ProfileBus and re-tiers on each published epoch — the paper's
-/// profile/optimize cycle running online, without a restart between the
-/// profiled run and the optimized one.
+/// `pgmpi serve`: the long-lived serving mode. Loads the workload
+/// instrumented, then replays a request trace round-robin across the
+/// pool. The profile moves only through files: --profile-in loads a
+/// stored one before the workload compiles, and --profile-out stores the
+/// merged counters at the end, ready for the next build.
 static int runServe(int Argc, char **Argv) {
   CliOptions O;
   O.PoolFlags = true;
-  O.ContinuousFlags = true;
-  // Serving defaults: continuous profiling on (that is the subcommand's
-  // purpose), auto-tiering so epochs have decisions to revise, and
-  // boundary reclamation so a long-lived serve loop runs in bounded
-  // memory. All remain overridable (--interval-charges, --tier,
-  // --reclaim off).
-  O.Engine.ContinuousProfile.IntervalCharges = 4096;
+  // Serving defaults: auto-tiering, and boundary reclamation so a
+  // long-lived serve loop runs in bounded memory. Both remain
+  // overridable (--tier, --reclaim off).
   O.Engine.Tier.Mode = TierMode::Auto;
   O.Engine.Reclaim = ReclaimMode::Boundary;
   std::string Replay;
@@ -311,8 +301,8 @@ static int runServe(int Argc, char **Argv) {
 
   O.Engine.Instrument = true;
   O.Engine.EchoDiagnostics = true;
-  // The serve summary reads re-tier stats regardless of --stats, which
-  // only controls printing the full table.
+  // The serve summary reads tier stats regardless of --stats, which only
+  // controls printing the full table.
   bool ShowStats = O.Engine.StatsEnabled;
   O.Engine.StatsEnabled = true;
 
@@ -355,14 +345,14 @@ static int runServe(int Argc, char **Argv) {
     return 1;
   }
   // Requests are data, not workload: stop minting profile points for the
-  // replayed top-level forms so the continuous profile stays keyed by the
+  // replayed top-level forms so the stored profile stays keyed by the
   // workload's own expressions. Closure counters keep counting.
   for (size_t I = 0; I < Pool.size(); ++I)
     Pool.engine(I).setInstrumentation(false);
 
   // Phase 2: replay, round-robin (request i goes to worker i mod N),
-  // timed in two halves so skew-flip convergence is observable: under
-  // re-tiering the second half should approach an oracle-profiled run.
+  // timed in two halves so a warm-up or a hot-set shift mid-trace shows
+  // as a difference between them.
   std::vector<size_t> FailedPer(Pool.size(), 0);
   // --repeat multiplies the request stream without growing it in memory:
   // logical request Idx maps onto trace line Idx mod |Requests|.
@@ -394,27 +384,18 @@ static int runServe(int Argc, char **Argv) {
   Clock::time_point T2 = Clock::now();
 
   size_t Failed = 0;
-  uint64_t Promotions = 0, Demotions = 0, Publishes = 0;
+  uint64_t TierUps = 0;
   for (size_t I = 0; I < Pool.size(); ++I) {
     Failed += FailedPer[I];
-    const StatsRegistry &S = Pool.engine(I).stats();
-    Promotions += S.count(Stat::RetierPromotions);
-    Demotions += S.count(Stat::RetierDemotions);
-    Publishes += S.count(Stat::BusPublishes);
+    TierUps += Pool.engine(I).stats().count(Stat::TierUps);
   }
-  uint64_t Epochs = Pool.bus() ? Pool.bus()->epochsPublished() : 0;
   auto Ms = [](Clock::time_point A, Clock::time_point B) {
     return static_cast<unsigned long long>(
         std::chrono::duration_cast<std::chrono::milliseconds>(B - A).count());
   };
   std::fprintf(stderr,
-               "pgmpi: serve: %zu request(s), %zu failed, %llu publish(es), "
-               "%llu epoch(s), %llu promotion(s), %llu demotion(s)\n",
-               Total, Failed,
-               static_cast<unsigned long long>(Publishes),
-               static_cast<unsigned long long>(Epochs),
-               static_cast<unsigned long long>(Promotions),
-               static_cast<unsigned long long>(Demotions));
+               "pgmpi: serve: %zu request(s), %zu failed, %llu tier-up(s)\n",
+               Total, Failed, static_cast<unsigned long long>(TierUps));
   std::fprintf(stderr, "pgmpi: serve: first half %llu ms, second half %llu ms\n",
                Ms(T0, T1), Ms(T1, T2));
   uint64_t Collections = 0, Reclaimed = 0, Live = 0, Aborts = 0;
