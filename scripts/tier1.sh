@@ -9,7 +9,11 @@
 #   3. ASan fault matrix: the ExecGuard and FaultInjection suites under
 #      AddressSanitizer — every injected fault and guard trip must unwind
 #      without leaking or corrupting the engine, which only ASan can
-#      actually prove.
+#      actually prove. The same stage runs the Heap and Reclaim suites,
+#      the soak replay, and the pgmpbench smoke built with
+#      -fsanitize=address (in build-asan-e2e/): a store that skips the
+#      generational write barrier leaves a tenured object pointing into a
+#      freed nursery chunk, and ASan faults where a real workload reads it.
 #   4. TSan build + the concurrency tests (ParallelProfile, ShardedCounterStore,
 #      ProfileSnapshot, Heap) — the sharded counter runtime and the
 #      per-engine arena heaps must be provably race-free, not just
@@ -145,6 +149,14 @@ else
     build-asan/tools/pgmpi serve --replay "$SERVE_DIR/soak.txt" \
     --repeat 8 --jobs 1 "$SERVE_DIR/soak.scm" 2> /dev/null \
     || { echo "FAIL: ASan soak replay failed"; exit 1; }
+  # Every workload of the end-to-end benchmark under ASan. run.py joins a
+  # relative --build onto the repository root, so pass an absolute path.
+  cmake -S pgmpbench -B build-asan-e2e -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
+  ASAN_OPTIONS="halt_on_error=1" \
+    python3 pgmpbench/run.py --smoke --build "$PWD/build-asan-e2e" \
+    || { echo "FAIL: ASan pgmpbench smoke failed"; exit 1; }
 fi
 
 if [[ "$SKIP_TSAN" == 1 ]]; then

@@ -171,6 +171,7 @@ tail:
       assert(Frame && "set! depth exceeds env chain");
       Frame = Frame->Parent;
     }
+    Ctx.TheHeap.noteWrite(Frame);
     Frame->slots()[S->Index] = V;
     return Value::undefined();
   }

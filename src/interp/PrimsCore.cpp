@@ -18,12 +18,16 @@ Value primCar(Context &, Value *A, size_t) {
 Value primCdr(Context &, Value *A, size_t) {
   return wantPair("cdr", A[0])->Cdr;
 }
-Value primSetCar(Context &, Value *A, size_t) {
-  wantPair("set-car!", A[0])->Car = A[1];
+Value primSetCar(Context &Ctx, Value *A, size_t) {
+  Pair *P = wantPair("set-car!", A[0]);
+  Ctx.TheHeap.noteWrite(P);
+  P->Car = A[1];
   return Value::undefined();
 }
-Value primSetCdr(Context &, Value *A, size_t) {
-  wantPair("set-cdr!", A[0])->Cdr = A[1];
+Value primSetCdr(Context &Ctx, Value *A, size_t) {
+  Pair *P = wantPair("set-cdr!", A[0]);
+  Ctx.TheHeap.noteWrite(P);
+  P->Cdr = A[1];
   return Value::undefined();
 }
 Value primCaar(Context &, Value *A, size_t) {
@@ -146,9 +150,10 @@ Value primUnbox(Context &, Value *A, size_t) {
     wrongType("unbox", "a box", A[0]);
   return A[0].asBox()->Boxed;
 }
-Value primSetBox(Context &, Value *A, size_t) {
+Value primSetBox(Context &Ctx, Value *A, size_t) {
   if (!A[0].isBox())
     wrongType("set-box!", "a box", A[0]);
+  Ctx.TheHeap.noteWrite(A[0].asBox());
   A[0].asBox()->Boxed = A[1];
   return Value::undefined();
 }

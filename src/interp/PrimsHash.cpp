@@ -21,8 +21,10 @@ Value primMakeEqualHashtable(Context &Ctx, Value *, size_t) {
 Value primHashtableP(Context &, Value *A, size_t) {
   return Value::boolean(A[0].isHash());
 }
-Value primHashtableSet(Context &, Value *A, size_t) {
-  wantHash("hashtable-set!", A[0])->set(A[1], A[2]);
+Value primHashtableSet(Context &Ctx, Value *A, size_t) {
+  HashTable *H = wantHash("hashtable-set!", A[0]);
+  Ctx.TheHeap.noteWrite(H);
+  H->set(A[1], A[2]);
   return Value::undefined();
 }
 Value primHashtableRef(Context &, Value *A, size_t N) {
@@ -52,7 +54,9 @@ Value primHashtableUpdate(Context &Ctx, Value *A, size_t) {
   Value Fn = wantProcedure("hashtable-update!", A[2]);
   Value Cur = H->get(A[1], A[3]);
   Value Args[1] = {Cur};
-  H->set(A[1], applyProcedure(Ctx, Fn, Args, 1));
+  Value New = applyProcedure(Ctx, Fn, Args, 1);
+  Ctx.TheHeap.noteWrite(H);
+  H->set(A[1], New);
   return Value::undefined();
 }
 

@@ -308,11 +308,12 @@ Value primVectorRef(Context &, Value *A, size_t) {
   return V->Elems[static_cast<size_t>(I)];
 }
 
-Value primVectorSet(Context &, Value *A, size_t) {
+Value primVectorSet(Context &Ctx, Value *A, size_t) {
   VectorObj *V = wantVector("vector-set!", A[0]);
   int64_t I = wantFixnum("vector-set!", A[1]);
   if (I < 0 || static_cast<size_t>(I) >= V->Elems.size())
     raiseError("vector-set!: index " + std::to_string(I) + " out of range");
+  Ctx.TheHeap.noteWrite(V);
   V->Elems[static_cast<size_t>(I)] = A[2];
   return Value::undefined();
 }
@@ -326,8 +327,9 @@ Value primListToVector(Context &Ctx, Value *A, size_t) {
   return Ctx.TheHeap.vector(listToVector(A[0]), AllocSite::PrimVector);
 }
 
-Value primVectorFill(Context &, Value *A, size_t) {
+Value primVectorFill(Context &Ctx, Value *A, size_t) {
   VectorObj *V = wantVector("vector-fill!", A[0]);
+  Ctx.TheHeap.noteWrite(V);
   std::fill(V->Elems.begin(), V->Elems.end(), A[1]);
   return Value::undefined();
 }

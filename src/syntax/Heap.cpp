@@ -157,18 +157,6 @@ bool Heap::inFromSpace(const void *P) const {
   return P < static_cast<const void *>(It->second);
 }
 
-bool Heap::inDemotedSpace(const void *P) const {
-  auto It = std::upper_bound(
-      DemotedRanges.begin(), DemotedRanges.end(), P,
-      [](const void *Ptr, const std::pair<const char *, const char *> &R) {
-        return Ptr < static_cast<const void *>(R.first);
-      });
-  if (It == DemotedRanges.begin())
-    return false;
-  --It;
-  return P < static_cast<const void *>(It->second);
-}
-
 template <typename T>
 Obj *Heap::relocateObj(T *Old, bool Hot, bool FirstPromo) {
   size_t Bytes;
@@ -205,9 +193,10 @@ Obj *Heap::relocateObj(T *Old, bool Hot, bool FirstPromo) {
 Obj *Heap::evacuate(Obj *O) {
   const bool Hot = Policy.HotSite[O->Site];
   // First promotion out of the nursery earns the site's Survived credit;
-  // a re-evacuation during a major (the object came from a demoted
-  // tenured chunk) already counted.
-  const bool First = DemotedRanges.empty() || !inDemotedSpace(O);
+  // a re-evacuation during a major (an old object) already counted, or
+  // survival rates would inflate past 100% and drive spurious
+  // pre-tenuring.
+  const bool First = !(O->GcFlags & Obj::GcOld);
   switch (O->Kind) {
   case ValueKind::Pair:
     return relocateObj(static_cast<Pair *>(O), Hot, First);
@@ -273,11 +262,14 @@ Obj *Heap::forwardObj(Obj *O) {
   if (!O)
     return nullptr;
   if (!inFromSpace(O)) {
-    // Tenured object (or a table-owned Symbol, which has no children):
-    // not moving this cycle, but its fields may point into the nursery,
-    // so it is scanned once per cycle via the stamp.
-    if (O->GcStamp != GcEpoch) {
-      O->GcStamp = GcEpoch;
+    // Not moving this cycle: a tenured object during a minor, or a
+    // table-owned Symbol. Of these only a fresh pre-tenured object can
+    // hold nursery pointers nobody else scans (stored-into old objects
+    // are on the remembered list), so it is scanned once, on first
+    // contact. Deliberately not listed at allocation: a dead pre-tenured
+    // frame would then keep its nursery children alive.
+    if (O->GcFlags & Obj::GcFresh) {
+      O->GcFlags &= ~Obj::GcFresh;
       Worklist.push_back(O);
     }
     return O;
@@ -290,11 +282,11 @@ Obj *Heap::forwardObj(Obj *O) {
     // Degraded cycle: the object is promoted in place — its chunk will be
     // adopted into the tenured generation wholesale — but its children
     // still need forwarding (earlier evacuees already moved).
-    if (DemotedRanges.empty() || !inDemotedSpace(O))
+    if (!(O->GcFlags & Obj::GcOld))
       ++Sites[O->Site].Survived;
     Copy = O;
   }
-  Copy->GcStamp = GcEpoch;
+  Copy->GcFlags = Obj::GcOld;
   Forwarded.emplace(O, Copy);
   Worklist.push_back(Copy);
   return Copy;
@@ -360,17 +352,16 @@ Heap::ReclaimResult Heap::collect(const RootEnumerator &Roots,
                         ? (3 * EwmaRegionBytes + NurseryBytes) / 4
                         : NurseryBytes;
 
-  DemotedRanges.clear();
+  Stats.ObjectsRemembered += Remembered.size();
   if (Major) {
+    // Everything reachable is traced and every survivor leaves with
+    // exactly GcOld, so the remembered list has nothing to add.
+    Remembered.clear();
     // Widen from-space to the whole heap: every tenured chunk becomes
     // collectible, so dead pre-tenured objects and stale evacuees from
     // earlier cycles are dropped too. Live tenured objects re-evacuate
     // into fresh chunks exactly like nursery survivors — without
-    // re-earning Survived credit (see inDemotedSpace).
-    DemotedRanges.reserve(Tenured.size());
-    for (const Chunk &C : Tenured)
-      DemotedRanges.emplace_back(C.Mem.get(), C.Mem.get() + C.Size);
-    std::sort(DemotedRanges.begin(), DemotedRanges.end());
+    // re-earning Survived credit (see evacuate).
     for (Chunk &C : Tenured)
       Nursery.push_back(std::move(C));
     Tenured.clear();
@@ -397,15 +388,22 @@ Heap::ReclaimResult Heap::collect(const RootEnumerator &Roots,
   EvacFailed = false;
   CycleEvacObjects = 0;
   CycleEvacBytes = 0;
-  ++GcEpoch;
   Forwarded.clear();
   Worklist.clear();
 
   GcVisitor V(*this);
   Roots(V);
+  // Old objects stored into since the last collection (none in a major).
+  for (Obj *O : Remembered) {
+    O->GcFlags &= ~Obj::GcRemembered;
+    scanObject(O, V);
+  }
+  Stats.ObjectsScanned += Remembered.size();
+  Remembered.clear();
   while (!Worklist.empty()) {
     Obj *O = Worklist.back();
     Worklist.pop_back();
+    ++Stats.ObjectsScanned;
     scanObject(O, V);
   }
 
@@ -542,6 +540,8 @@ void Heap::appendStats(
   Out.emplace_back("heap-bytes-evacuated", Stats.BytesEvacuated);
   Out.emplace_back("heap-objects-pre-tenured", Stats.PreTenuredObjects);
   Out.emplace_back("heap-reclaim-aborts", Stats.ReclaimAborts);
+  Out.emplace_back("heap-objects-scanned", Stats.ObjectsScanned);
+  Out.emplace_back("heap-objects-remembered", Stats.ObjectsRemembered);
   Out.emplace_back("heap-reclaim-policy-epoch", Policy.Epoch);
   Out.emplace_back("heap-objects", numObjects());
   for (size_t K = 0; K < NumValueKinds; ++K)
@@ -650,6 +650,24 @@ bool HashTable::erase(const Value &Key) {
 }
 
 void HashTable::rehashForGc(GcVisitor &V) {
+  // Values never choose a bucket, and a key outside from-space keeps its
+  // address (forwarding it only schedules a fresh key's scan), so unless
+  // some key can move the table is patched in place. This is the common
+  // case: fixnum- and symbol-keyed tables, and old tables during a minor.
+  bool KeyMoves = false;
+  for (const auto &E : Table)
+    if (V.inFromSpace(E.first)) {
+      KeyMoves = true;
+      break;
+    }
+  if (!KeyMoves) {
+    for (auto &E : Table) {
+      Value Key = E.first;
+      V.value(Key);
+      V.value(E.second.first);
+    }
+    return;
+  }
   // Eq/eqv discipline hashes by object identity, so a moved key lands in
   // a different bucket: extract, forward, and re-insert everything.
   // Insertion indices are preserved (key order survives collection); the

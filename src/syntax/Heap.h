@@ -20,6 +20,26 @@
 /// traced roots (globals, retained code, the tier cache), which the
 /// collector rewrites.
 ///
+/// Generations and the write barrier. Every collection leaves the nursery
+/// empty, so a tenured object can point into the nursery only through a
+/// store made since the last collection, or because it was itself
+/// pre-tenured since then. A minor collection therefore visits the roots,
+/// the *remembered* tenured objects (stored into since the last
+/// collection), the *fresh* pre-tenured objects it reaches, and the
+/// nursery survivors; it never descends into the rest of the old
+/// generation. Three Obj::GcFlags bits carry this: GcOld (lives in a
+/// tenured chunk), GcRemembered (on the remembered list) and GcFresh
+/// (pre-tenured since the last collection). A major collection traces
+/// everything reachable and drops the list.
+///
+/// The rule for mutators: call Heap::noteWrite(Obj) before storing a
+/// Value into an existing heap object. The barrier sites are set-car!,
+/// set-cdr!, set-box!, vector-set!, vector-fill!, hashtable-set!,
+/// hashtable-update!, the interpreter's SetLocal and the VM's SetLocal
+/// through the frame chain. A store into an object allocated during the
+/// current run needs none (it is young, or fresh and so scanned whole),
+/// which is why frame construction and the VM's depth-0 SetLocal skip it.
+///
 /// Every allocation is attributed to an AllocSite (AllocSite.h) at the
 /// cost of a couple of indexed adds; the resulting site profile —
 /// objects, bytes, survival — drives the ReclaimPolicy: high-survival
@@ -78,21 +98,33 @@ enum class ReclaimMode : uint8_t { Off, Boundary };
 /// the Kind tag discriminates, and the owning Heap destroys
 /// non-trivially-destructible objects through a typed side list, so the
 /// base needs no virtual destructor (and a Pair stays 40 bytes, not 56).
-/// Site and GcStamp live in the padding the 8-byte member alignment of
+/// GcFlags and Site fill the padding the 8-byte member alignment of
 /// every subclass forces anyway, so the header stays 8 bytes.
 class Obj {
 public:
+  /// GcFlags bits (see Heap: "Generations and the write barrier").
+  /// The object lives in a tenured chunk.
+  static constexpr uint8_t GcOld = 1;
+  /// The object is on the heap's remembered list.
+  static constexpr uint8_t GcRemembered = 2;
+  /// Pre-tenured since the last collection: the next collection that
+  /// reaches it scans it once.
+  static constexpr uint8_t GcFresh = 4;
+
   ValueKind Kind;
+  uint8_t GcFlags = 0;
   /// AllocSite the object was allocated at (survival attribution).
   uint16_t Site = 0;
-  /// Collector visit stamp: equals the heap's current collection epoch
-  /// iff the object was already reached this cycle. 0 = never visited.
-  uint32_t GcStamp = 0;
+  /// Unused. It keeps the header's last four bytes out of reach of
+  /// subclass members: as tail padding, a subclass would pack its first
+  /// small field there (HashTable's HK), changing object sizes and so
+  /// every byte counter compared across builds.
+  uint32_t Spare = 0;
 
 protected:
   explicit Obj(ValueKind K) : Kind(K) {}
   /// Evacuation move-constructs survivors into tenured chunks; the moved
-  /// base keeps Kind/Site (GcStamp is restamped by the collector).
+  /// base keeps Kind/Site (the collector resets GcFlags on the copy).
   Obj(Obj &&) = default;
   ~Obj() = default; ///< non-virtual; only the Heap destroys objects
 
@@ -150,11 +182,12 @@ public:
   /// is valid until the next insertion or removal.
   const std::vector<Value> &keysInInsertionOrder() const;
 
-  /// Collector support: forwards every key and value through \p V and
-  /// re-inserts under the new identities. Eq/eqv tables hash by pointer,
-  /// so moving a key changes its bucket — the table must be rebuilt, not
-  /// patched. Insertion indices are preserved; the order cache (which
-  /// holds stale Values) is dropped.
+  /// Collector support: forwards every key and value through \p V. When
+  /// no key is in from-space, values are forwarded in place and buckets
+  /// and order cache stay. Otherwise the table is rebuilt under the new
+  /// identities (eq/eqv tables hash by pointer, so a moved key changes
+  /// its bucket); insertion indices are preserved and the order cache,
+  /// which holds stale Values, is dropped.
   void rehashForGc(GcVisitor &V);
 
   HashKind HK;
@@ -287,6 +320,8 @@ public:
     uint64_t BytesEvacuated = 0;    ///< bytes of those survivors
     uint64_t PreTenuredObjects = 0; ///< allocations routed straight to tenured
     uint64_t ReclaimAborts = 0;     ///< cycles degraded by an evac alloc fail
+    uint64_t ObjectsScanned = 0;    ///< worklist pops plus remembered scans
+    uint64_t ObjectsRemembered = 0; ///< objects the write barrier listed
     std::array<uint64_t, NumValueKinds> ObjectsByKind{};
   };
 
@@ -369,6 +404,8 @@ public:
       Head = N;
     }
     O->Site = static_cast<uint16_t>(S);
+    if (Tenure)
+      O->GcFlags = Obj::GcOld | Obj::GcFresh;
     noteObject(O->Kind, Bytes, S, Tenure);
     return O;
   }
@@ -402,8 +439,22 @@ public:
     for (size_t I = NumArgs; I < NumSlots; ++I)
       new (Slots + I) Value();
     E->Site = static_cast<uint16_t>(S);
+    if (Tenure)
+      E->GcFlags = Obj::GcOld | Obj::GcFresh;
     noteObject(ValueKind::Env, Bytes, S, Tenure);
     return E;
+  }
+
+  /// The generational write barrier: call before storing a Value into
+  /// the existing object \p O. Lists a tenured object once per cycle, so
+  /// the next minor collection scans it for nursery pointers. Young
+  /// objects need nothing, and fresh pre-tenured ones are scanned whole
+  /// when reached, so only flags of exactly GcOld take the slow path.
+  void noteWrite(Obj *O) {
+    if (O->GcFlags == Obj::GcOld) {
+      O->GcFlags = Obj::GcOld | Obj::GcRemembered;
+      Remembered.push_back(O);
+    }
   }
 
   Value cons(Value Car, Value Cdr, AllocSite S = AllocSite::Ambient) {
@@ -439,6 +490,8 @@ public:
 
   /// Evacuates everything reachable from \p Roots out of the nursery into
   /// tenured chunks (pointer forwarding), then frees the nursery chunks.
+  /// A minor cycle reaches the nursery through the roots, the remembered
+  /// objects and the fresh pre-tenured ones only (see the file comment).
   /// Must only run at a quiescent point: no Value or Obj* may live on the
   /// C++ stack except through \p Roots. Escalates to a *major* cycle —
   /// from-space widened to the tenured chunks too, so tenured garbage
@@ -577,11 +630,9 @@ private:
   template <typename T> Obj *relocateObj(T *Old, bool Hot, bool FirstPromo);
   /// Rewrites \p O's children through forwardObj.
   void scanObject(Obj *O, GcVisitor &V);
-  /// True when \p P points into a from-space (nursery) chunk this cycle.
+  /// True when \p P points into a from-space chunk this cycle (the
+  /// nursery; every chunk during a major collection).
   bool inFromSpace(const void *P) const;
-  /// True when \p P lies in a tenured chunk demoted into from-space by
-  /// this major collection — its survival was counted at first promotion.
-  bool inDemotedSpace(const void *P) const;
 
   char *Cur = nullptr; ///< bump pointer into the current nursery chunk
   char *End = nullptr; ///< end of the current nursery chunk
@@ -610,8 +661,11 @@ private:
   uint64_t EwmaRegionBytes = 0;
   uint64_t CollectsSinceSelect = 0;
 
+  /// Tenured objects stored into since the last collection (noteWrite);
+  /// each carries GcRemembered while listed.
+  std::vector<Obj *> Remembered;
+
   /// Per-cycle state.
-  uint32_t GcEpoch = 0; ///< current collection stamp (0 = none yet)
   bool InCollect = false;
   bool EvacFailed = false;
   uint64_t CycleEvacObjects = 0;
@@ -620,12 +674,6 @@ private:
   std::vector<Obj *> Worklist;
   /// Sorted [begin, end) ranges of the from-space chunks this cycle.
   std::vector<std::pair<const char *, const char *>> FromRanges;
-  /// Sorted ranges of the demoted tenured chunks within from-space during
-  /// a major collection. Objects from these ranges already earned their
-  /// Survived credit when first promoted; re-evacuating them must not
-  /// count again or survival rates would inflate past 100% and drive
-  /// spurious pre-tenuring.
-  std::vector<std::pair<const char *, const char *>> DemotedRanges;
 
   std::array<ExternalKindOps, NumValueKinds> ExternalKinds{};
 
@@ -672,10 +720,20 @@ public:
     P = static_cast<T *>(H.forwardObj(P));
   }
 
+  /// True when \p V is a heap object in this cycle's from-space, i.e.
+  /// one that forwarding may move.
+  bool inFromSpace(const Value &V) const {
+    return static_cast<uint8_t>(V.kind()) >=
+               static_cast<uint8_t>(ValueKind::Symbol) &&
+           H.inFromSpace(V.obj());
+  }
+
 private:
   Heap &H;
 };
 
+static_assert(sizeof(Obj) == 8, "the object header is 8 bytes");
+static_assert(sizeof(Pair) == 40, "a cons cell is the header and two Values");
 static_assert(sizeof(EnvObj) % alignof(Value) == 0,
               "inline slots start aligned directly after the EnvObj header");
 static_assert(std::is_trivially_destructible_v<Pair> &&

@@ -278,11 +278,15 @@ static Value runVmLoop(Context &Ctx, VmFunction *Fn, EnvObj *Captured,
     VM_CASE(SetLocal): {
       Value V = Pop();
       if (I.A == 0) {
+        // No write barrier: Slots0 is the C++ local buffer or a frame
+        // this invocation built, and collections run only at quiescent
+        // run boundaries, so the frame is young (or fresh, scanned whole).
         Slots0[static_cast<size_t>(I.B)] = V;
       } else {
         EnvObj *F = Chain;
         for (int32_t D = 1; D < I.A; ++D)
           F = F->Parent;
+        Ctx.TheHeap.noteWrite(F);
         F->slots()[static_cast<size_t>(I.B)] = V;
       }
       Push(Value::undefined());

@@ -8,7 +8,8 @@
 // The HeapReclaim suite covers generational region reclamation directly:
 // evacuation forwarding for every kind across chunk boundaries, shared
 // structure and cycles, inline Env slots, exactly-once destruction,
-// eq/eqv hash rebuilds, pre-tenuring, and major-cycle accounting.
+// eq/eqv hash rebuilds and in-place patching, pre-tenuring, the
+// remembered set, and major-cycle accounting.
 //
 //===----------------------------------------------------------------------===//
 
@@ -421,6 +422,109 @@ TEST(HeapReclaim, MajorCycleDropsTenuredGarbageAndCountsSurvivalOnce) {
       << "re-evacuation during a major cycle is not a new survival";
   for (int I = 0; I < 125; ++I)
     EXPECT_EQ(Keep[I].asPair()->Car.asFixnum(), I * 2);
+}
+
+TEST(HeapReclaim, HashTablesKeepTheirLayoutUnlessAKeyMoves) {
+  // A fixnum-keyed table is patched in place (no key can move), a
+  // pair-keyed eq table is rebuilt around the forwarded keys; both must
+  // answer every lookup and keep insertion order across a minor cycle, a
+  // remembered store into the tenured table, and a major cycle.
+  Heap H;
+  Value Fix = H.hashtable(HashKind::Eqv);
+  Value ByPair = H.hashtable(HashKind::Eq);
+  std::vector<Value> Keys;
+  for (int I = 0; I < 200; ++I) {
+    Fix.asHash()->set(Value::fixnum(1000 - I), H.cons(Value::fixnum(I),
+                                                      Value::nil()));
+    Value K = H.cons(Value::fixnum(I), Value::nil());
+    Keys.push_back(K);
+    ByPair.asHash()->set(K, Value::fixnum(I * 10));
+  }
+  auto Collect = [&](bool Major) {
+    for (int I = 0; I < 3000; ++I)
+      H.cons(Value::fixnum(I), Value::nil()); // garbage
+    Heap::ReclaimResult R = H.collect(
+        [&](GcVisitor &V) {
+          V.value(Fix);
+          V.value(ByPair);
+          for (Value &K : Keys)
+            V.value(K);
+        },
+        Major);
+    EXPECT_FALSE(R.Aborted);
+    EXPECT_EQ(R.Major, Major);
+  };
+  auto Check = [&](size_t NumKeys) {
+    const std::vector<Value> &FixOrder = Fix.asHash()->keysInInsertionOrder();
+    ASSERT_EQ(FixOrder.size(), 200u);
+    for (int I = 0; I < 200; ++I) {
+      EXPECT_EQ(FixOrder[I].asFixnum(), 1000 - I);
+      Value V = Fix.asHash()->get(Value::fixnum(1000 - I), Value::nil());
+      ASSERT_TRUE(V.isPair());
+      EXPECT_EQ(V.asPair()->Car.asFixnum(), I);
+    }
+    const std::vector<Value> &Order = ByPair.asHash()->keysInInsertionOrder();
+    ASSERT_EQ(Order.size(), NumKeys);
+    for (size_t I = 0; I < NumKeys; ++I) {
+      EXPECT_EQ(Order[I].obj(), Keys[I].obj());
+      EXPECT_EQ(ByPair.asHash()->get(Keys[I], Value::nil()).asFixnum(),
+                static_cast<int64_t>(I) * 10);
+    }
+  };
+  Check(200); // warm both order caches
+  Collect(/*Major=*/false);
+  Check(200);
+  // A store into the now-tenured table: the barrier lists it, and the
+  // next minor rebuilds it around the new, moving key.
+  Value NewKey = H.cons(Value::fixnum(200), Value::nil());
+  Keys.push_back(NewKey);
+  H.noteWrite(ByPair.asHash());
+  ByPair.asHash()->set(NewKey, Value::fixnum(2000));
+  Collect(/*Major=*/false);
+  Check(201);
+  Collect(/*Major=*/true);
+  Check(201);
+}
+
+TEST(HeapReclaim, RememberedTenuredObjectsKeepTheirNurseryChildren) {
+  Heap H;
+  Value Old = H.cons(Value::nil(), Value::nil());
+  H.collect([&](GcVisitor &V) { V.value(Old); });
+  ASSERT_EQ(H.nurseryBytes(), 0u);
+  // The tenured pair is stored into; only the barrier makes the minor
+  // cycle look at it (it is deliberately not a root this time).
+  Value Young = H.cons(Value::fixnum(42), Value::nil());
+  H.noteWrite(Old.asPair());
+  H.noteWrite(Old.asPair()); // listed once per cycle
+  Old.asPair()->Car = Young;
+  Heap::ReclaimResult R = H.collect([](GcVisitor &) {});
+  EXPECT_EQ(R.ObjectsEvacuated, 1u);
+  EXPECT_EQ(H.allocStats().ObjectsRemembered, 1u);
+  ASSERT_TRUE(Old.asPair()->Car.isPair());
+  EXPECT_NE(Old.asPair()->Car.obj(), Young.obj()) << "the child moved";
+  EXPECT_EQ(Old.asPair()->Car.asPair()->Car.asFixnum(), 42);
+  // The list was drained: with no new store, the next minor finds
+  // nothing to scan beyond its (empty) roots.
+  uint64_t Scanned = H.allocStats().ObjectsScanned;
+  H.collect([](GcVisitor &) {});
+  EXPECT_EQ(H.allocStats().ObjectsScanned, Scanned);
+}
+
+TEST(HeapReclaim, DeadPreTenuredObjectsDoNotRetainNurseryChildren) {
+  // A pre-tenured object is scanned when a collection reaches it, not
+  // listed at allocation: a dead one must not keep its nursery children
+  // alive, while a live one must.
+  Heap H;
+  Heap::ReclaimPolicy P;
+  P.PreTenure[static_cast<size_t>(AllocSite::PrimList)] = true;
+  H.setReclaimPolicy(P);
+  H.cons(H.cons(Value::fixnum(1), Value::nil()), Value::nil(),
+         AllocSite::PrimList); // dead
+  Value Live = H.cons(H.cons(Value::fixnum(2), Value::nil()), Value::nil(),
+                      AllocSite::PrimList);
+  Heap::ReclaimResult R = H.collect([&](GcVisitor &V) { V.value(Live); });
+  EXPECT_EQ(R.ObjectsEvacuated, 1u) << "only the live object's child";
+  EXPECT_EQ(Live.asPair()->Car.asPair()->Car.asFixnum(), 2);
 }
 
 TEST(HeapReclaim, SymbolsAreStableAcrossCollection) {
