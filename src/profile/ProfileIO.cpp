@@ -54,20 +54,27 @@ std::string pgmp::serializeProfile(const ProfileDatabase &Db,
     return A.first->EndOffset < B.first->EndOffset;
   });
 
+  // Fields are appended one by one rather than as `"\t" + to_string(...)`
+  // temporaries: GCC 12 at -O3 reports a bogus -Wrestrict overlap on the
+  // inlined prepend, which breaks -Werror builds.
   char Buf[64];
+  auto Field = [&](const auto &N) {
+    Out += '\t';
+    Out += std::to_string(N);
+  };
   for (const auto &[Src, E] : Rows) {
     Out += "point\t";
     Out += Src->File;
-    Out += "\t" + std::to_string(Src->BeginOffset);
-    Out += "\t" + std::to_string(Src->EndOffset);
-    Out += "\t" + std::to_string(Src->Line);
-    Out += "\t" + std::to_string(Src->Column);
+    Field(Src->BeginOffset);
+    Field(Src->EndOffset);
+    Field(Src->Line);
+    Field(Src->Column);
     Out += Src->Generated ? "\tg" : "\t-";
     std::snprintf(Buf, sizeof(Buf), "%.17g", E.WeightSum);
-    Out += "\t";
+    Out += '\t';
     Out += Buf;
-    Out += "\t" + std::to_string(E.TotalCount);
-    Out += "\n";
+    Field(E.TotalCount);
+    Out += '\n';
   }
 
   // Checksum footer over every byte above it; must stay the last record.
