@@ -17,14 +17,23 @@ using namespace pgmp::bench;
 
 namespace {
 
-/// Builds a serialized profile with N points.
-std::string makeProfileText(int N, SourceObjectTable &SOT) {
+/// Builds a serialized profile with N points, spread round-robin over
+/// \p Files files: "big.scm" for one, else realistic absolute paths, too
+/// long for a string's small buffer (so a loader that copies the file
+/// name per point shows it).
+std::string makeProfileText(int N, SourceObjectTable &SOT, int Files = 1) {
+  std::vector<std::string> Names;
+  for (int F = 0; F < Files; ++F)
+    Names.push_back(Files == 1 ? std::string("big.scm")
+                               : "/home/build/project/src/module-" +
+                                     std::to_string(F) + ".scm");
   ProfileDatabase Db;
   CounterStore CS;
   Rng R(3);
   for (int I = 0; I < N; ++I) {
     const SourceObject *P =
-        SOT.intern("big.scm", static_cast<uint32_t>(I * 10),
+        SOT.intern(Names[static_cast<size_t>(I % Files)],
+                   static_cast<uint32_t>(I * 10),
                    static_cast<uint32_t>(I * 10 + 5), 1, 1);
     *CS.counterFor(P) = R.below(100000) + 1;
   }
@@ -32,12 +41,11 @@ std::string makeProfileText(int N, SourceObjectTable &SOT) {
   return serializeProfile(Db);
 }
 
-/// load-profile: expect roughly linear scaling in N (check the ns/point
-/// column stays flat).
-void BM_LoadProfile(benchmark::State &State) {
+/// Times parseProfile of an N-point profile over \p Files files.
+void loadProfileBench(benchmark::State &State, int Files) {
   int N = static_cast<int>(State.range(0));
   SourceObjectTable SourceSOT;
-  std::string Text = makeProfileText(N, SourceSOT);
+  std::string Text = makeProfileText(N, SourceSOT, Files);
   for (auto _ : State) {
     SourceObjectTable SOT;
     ProfileDatabase Db;
@@ -47,6 +55,16 @@ void BM_LoadProfile(benchmark::State &State) {
     require(Ok, Err);
   }
   State.SetItemsProcessed(State.iterations() * N);
+}
+
+/// load-profile: expect roughly linear scaling in N (check the ns/point
+/// column stays flat).
+void BM_LoadProfile(benchmark::State &State) { loadProfileBench(State, 1); }
+
+/// The same over 16 files with long absolute paths, as real profiles
+/// have: the per-point cost must not grow with the file-name length.
+void BM_LoadProfileLongPaths(benchmark::State &State) {
+  loadProfileBench(State, 16);
 }
 
 /// profile-query: expect flat time regardless of database size.
@@ -108,6 +126,7 @@ void BM_SerializeProfile(benchmark::State &State) {
 } // namespace
 
 BENCHMARK(BM_LoadProfile)->RangeMultiplier(10)->Range(100, 1000000);
+BENCHMARK(BM_LoadProfileLongPaths)->RangeMultiplier(10)->Range(100, 1000000);
 BENCHMARK(BM_ProfileQuery)->RangeMultiplier(10)->Range(100, 1000000);
 BENCHMARK(BM_MergeDataset)->RangeMultiplier(10)->Range(100, 100000);
 BENCHMARK(BM_SerializeProfile)->RangeMultiplier(10)->Range(100, 100000);

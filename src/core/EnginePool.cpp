@@ -163,13 +163,21 @@ void EnginePool::preRegisterFile(const std::string &Path) {
 
 void EnginePool::mergeCountersInto(ProfileDatabase &Db,
                                    SourceObjectTable &Sources) {
+  constexpr PointFileId Unmapped = ~PointFileId(0);
+  std::vector<PointFileId> FileMap;
   for (std::unique_ptr<Engine> &W : Workers) {
     ProfileDatabase::CounterRows Rows = W->context().Counters.snapshot();
     // Worker points live in the worker's own interning table; translate
     // to the target table so the merged database speaks its identities.
-    for (auto &[Src, Count] : Rows)
-      Src = Sources.intern(Src->File, Src->BeginOffset, Src->EndOffset,
-                           Src->Line, Src->Column, Src->Generated);
+    // Each worker file id is translated once, on its first point.
+    FileMap.assign(W->context().Sources.numFiles(), Unmapped);
+    for (auto &[Src, Count] : Rows) {
+      PointFileId &To = FileMap[Src->FileId];
+      if (To == Unmapped)
+        To = Sources.internFile(Src->File);
+      Src = Sources.intern(To, Src->BeginOffset, Src->EndOffset, Src->Line,
+                           Src->Column, Src->Generated);
+    }
     Db.addDataset(Rows); // all-zero data sets are ignored, as always
   }
 }

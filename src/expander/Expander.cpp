@@ -143,6 +143,15 @@ public:
                       ScopeSet(), Src);
   }
 
+  /// Adds \p S to every scope set in \p Stx (a rebuilt copy).
+  Value addScope(const Value &Stx, ScopeId S) {
+    return adjustScope(Ctx.TheHeap, Ctx.ScopeSets, Stx, S, ScopeOp::Add);
+  }
+  /// Flips \p S in every scope set in \p Stx (a rebuilt copy).
+  Value flipScope(const Value &Stx, ScopeId S) {
+    return adjustScope(Ctx.TheHeap, Ctx.ScopeSets, Stx, S, ScopeOp::Flip);
+  }
+
   /// Wraps a plain element spine as a syntax list.
   Value listStx(const std::vector<Value> &Elems, const SourceObject *Src,
                 Value Tail = Value::nil()) {
@@ -314,7 +323,7 @@ public:
   Value invokeMacro(Value UseStx, Value Transformer) {
     Ctx.Stats.bump(Stat::MacroExpansions);
     ScopeId Intro = Ctx.freshScope();
-    Value Input = adjustScope(Ctx.TheHeap, UseStx, Intro, ScopeOp::Flip);
+    Value Input = flipScope(UseStx, Intro);
     Value Args[1] = {Input};
     // Transformers are phase-1 code: they must never tier up to the VM
     // (their bodies may contain syntax-case/template nodes, and tiering
@@ -329,7 +338,7 @@ public:
     if (!Out.isSyntax() && !Out.isPair())
       raiseError("macro transformer returned a non-syntax value: " +
                  writeToString(Out));
-    Value Result = adjustScope(Ctx.TheHeap, Out, Intro, ScopeOp::Flip);
+    Value Result = flipScope(Out, Intro);
     // Attribute generated code to the use site when it has no source of
     // its own, so profile points keep pointing at user code.
     if (Result.isSyntax() && !Result.asSyntax()->Src)
@@ -587,10 +596,10 @@ public:
     const SourceObject *Src = syntaxSource(Stx);
     ScopeId S = Ctx.freshScope();
 
-    Value Params = adjustScope(Ctx.TheHeap, Elems[1], S, ScopeOp::Add);
+    Value Params = addScope(Elems[1], S);
     std::vector<Value> Body;
     for (size_t I = 2; I < Elems.size(); ++I)
-      Body.push_back(adjustScope(Ctx.TheHeap, Elems[I], S, ScopeOp::Add));
+      Body.push_back(addScope(Elems[I], S));
 
     // Bind parameters.
     std::vector<Value> RenamedParams;
@@ -1006,11 +1015,9 @@ public:
       const SourceObject *CSrc = syntaxSource(Elems[I]);
 
       ScopeId SC = Ctx.freshScope();
-      Value Pat = adjustScope(Ctx.TheHeap, Parts[0], SC, ScopeOp::Add);
-      Value Fender = Parts.size() == 3
-                         ? adjustScope(Ctx.TheHeap, Parts[1], SC, ScopeOp::Add)
-                         : Value::nil();
-      Value Body = adjustScope(Ctx.TheHeap, Parts.back(), SC, ScopeOp::Add);
+      Value Pat = addScope(Parts[0], SC);
+      Value Fender = Parts.size() == 3 ? addScope(Parts[1], SC) : Value::nil();
+      Value Body = addScope(Parts.back(), SC);
 
       std::unordered_map<Symbol *, int> Seen;
       Value NewPat = processPattern(Pat, Literals, 0, Seen);
@@ -1123,18 +1130,17 @@ public:
       spine(B, Parts, Tail);
       if (Parts.size() != 2 || !Tail.isNil())
         fail("malformed let-syntax binding", B);
-      Value Name = adjustScope(Ctx.TheHeap, Parts[0], S, ScopeOp::Add);
+      Value Name = addScope(Parts[0], S);
       Syntax *NameId = asIdentifier(Name);
       if (!NameId)
         fail("let-syntax name must be an identifier", B);
-      Value TransformerExpr =
-          adjustScope(Ctx.TheHeap, Parts[1], S, ScopeOp::Add);
+      Value TransformerExpr = addScope(Parts[1], S);
       bindMacro(NameId, TransformerExpr, Stx);
     }
 
     std::vector<Value> Body;
     for (size_t I = 2; I < Elems.size(); ++I)
-      Body.push_back(adjustScope(Ctx.TheHeap, Elems[I], S, ScopeOp::Add));
+      Body.push_back(addScope(Elems[I], S));
     return expand(rewriteBody(Body, Stx.isSyntax()
                                         ? makeSyntax(Ctx.TheHeap,
                                                      syntaxE(Stx),

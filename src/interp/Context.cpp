@@ -64,8 +64,7 @@ void Context::definePrimitive(const std::string &Name, int MinArgs,
   defineGlobal(Name, Value::object(ValueKind::Primitive, P));
 }
 
-BindingLabel Context::bind(Symbol *Sym, const ScopeSet &Scopes,
-                           ExpBinding Meaning) {
+BindingLabel Context::bind(Symbol *Sym, ScopeSet Scopes, ExpBinding Meaning) {
   BindingLabel Label = Bindings.freshLabel();
   Bindings.add(Sym, Scopes, Label);
   Meanings.emplace(Label, std::move(Meaning));

@@ -173,6 +173,8 @@ public:
   // Expansion state
   //===--------------------------------------------------------------------===//
 
+  /// Every scope set this session's syntax and bindings use (interned).
+  ScopeSetTable ScopeSets;
   BindingTable Bindings;
   std::unordered_map<BindingLabel, ExpBinding> Meanings;
   ScopeId NextScope = 1;
@@ -181,7 +183,7 @@ public:
 
   /// Binds \p Id (symbol+scopes) to a fresh label with \p Meaning;
   /// returns the label.
-  BindingLabel bind(Symbol *Sym, const ScopeSet &Scopes, ExpBinding Meaning);
+  BindingLabel bind(Symbol *Sym, ScopeSet Scopes, ExpBinding Meaning);
 
   /// Meaning of \p Label, or null if unknown.
   const ExpBinding *meaningOf(BindingLabel Label) const;

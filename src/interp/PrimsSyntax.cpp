@@ -98,7 +98,7 @@ Value primSyntaxSourceFile(Context &Ctx, Value *A, size_t) {
   const SourceObject *Src = syntaxSource(A[0]);
   if (!Src)
     return Value::boolean(false);
-  return Ctx.TheHeap.string(Src->File, AllocSite::PrimString);
+  return Ctx.TheHeap.string(std::string(Src->File), AllocSite::PrimString);
 }
 
 } // namespace

@@ -68,9 +68,20 @@ void ProfileDatabase::clear() {
   ++Version;
 }
 
-void ProfileDatabase::mergeEntry(const SourceObject *Src, const Entry &E) {
-  Entry &Mine = Entries[Src];
-  Mine.WeightSum += E.WeightSum;
-  Mine.TotalCount += E.TotalCount;
+bool ProfileDatabase::mergeEntry(const SourceObject *Src, const Entry &E) {
+  auto [It, Inserted] = Entries.try_emplace(Src);
+  It->second.WeightSum += E.WeightSum;
+  It->second.TotalCount += E.TotalCount;
+  ++Version;
+  return Inserted;
+}
+
+void ProfileDatabase::merge(ProfileDatabase &&Other) {
+  NumDatasets += Other.NumDatasets;
+  if (Entries.empty())
+    Entries = std::move(Other.Entries);
+  else
+    for (const auto &[Src, E] : Other.Entries)
+      mergeEntry(Src, E);
   ++Version;
 }

@@ -77,8 +77,12 @@ public:
   using Entry = ProfileEntry;
 
   /// Direct merge used by load-profile: folds previously stored state in,
-  /// preserving associativity of merges.
-  void mergeEntry(const SourceObject *Src, const Entry &E);
+  /// preserving associativity of merges. Returns true when \p Src had no
+  /// entry before (how the loader detects a duplicate point record).
+  bool mergeEntry(const SourceObject *Src, const Entry &E);
+  /// Folds all of \p Other (data sets and entries) into this database;
+  /// an empty database adopts Other's entries without re-inserting them.
+  void merge(ProfileDatabase &&Other);
   void mergeDatasetCount(uint64_t N) {
     NumDatasets += N;
     ++Version;

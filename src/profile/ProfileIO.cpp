@@ -30,24 +30,32 @@ std::string pgmp::serializeProfile(const ProfileDatabase &Db,
   // buffers (`<eval>`, `<repl>`, ...) are transient by construction and
   // carry no meaningful identity across sessions, so they are skipped.
   if (SM) {
-    std::set<std::string> Files;
+    std::set<std::string_view> Files;
     for (const auto &[Src, E] : Db.entries()) {
       (void)E;
       Files.insert(Src->File);
     }
-    for (const std::string &File : Files) {
+    for (std::string_view File : Files) {
       if (!File.empty() && File.front() == '<')
         continue;
-      if (const std::string *Contents = SM->contentsByName(File))
-        Out += "source\t" + File + "\t" + hex64(fnv1a64(*Contents)) + "\n";
+      const std::string *Contents = SM->contentsByName(std::string(File));
+      if (Contents) {
+        Out += "source\t";
+        Out += File;
+        Out += '\t';
+        Out += hex64(fnv1a64(*Contents));
+        Out += '\n';
+      }
     }
   }
 
   // Sort for deterministic output (unordered_map iteration order is not).
+  // Files order by name, never by id: ids follow interning order, which
+  // differs between sessions, and the file must not.
   std::vector<std::pair<const SourceObject *, ProfileDatabase::Entry>> Rows(
       Db.entries().begin(), Db.entries().end());
   std::sort(Rows.begin(), Rows.end(), [](const auto &A, const auto &B) {
-    if (A.first->File != B.first->File)
+    if (A.first->FileId != B.first->FileId)
       return A.first->File < B.first->File;
     if (A.first->BeginOffset != B.first->BeginOffset)
       return A.first->BeginOffset < B.first->BeginOffset;
@@ -93,6 +101,33 @@ bool pgmp::storeProfileFile(const ProfileDatabase &Db, const std::string &Path,
   return true;
 }
 
+namespace {
+
+/// One record's tab-separated fields, as views into the profile text.
+/// Records have at most 9 fields; a longer line keeps its first 9 and
+/// reports MaxFields + 1, a count no record kind accepts.
+struct RecordFields {
+  static constexpr size_t MaxFields = 9;
+  std::string_view F[MaxFields];
+  size_t N = 0;
+
+  explicit RecordFields(std::string_view Line) {
+    while (true) {
+      size_t Tab = Line.find('\t');
+      if (N == MaxFields) {
+        N = MaxFields + 1;
+        return;
+      }
+      F[N++] = Line.substr(0, Tab);
+      if (Tab == std::string_view::npos)
+        return;
+      Line.remove_prefix(Tab + 1);
+    }
+  }
+};
+
+} // namespace
+
 bool pgmp::parseProfile(const std::string &Text, SourceObjectTable &Sources,
                         ProfileDatabase &Db, std::string &ErrorOut,
                         const SourceManager *SM, ProfileLoadReport *Report) {
@@ -107,139 +142,151 @@ bool pgmp::parseProfile(const std::string &Text, SourceObjectTable &Sources,
     return false;
   };
 
-  auto Lines = splitChar(Text, '\n');
+  std::string_view All(Text);
+  size_t HeaderEnd = std::min(All.find('\n'), All.size());
+  std::string_view Header = All.substr(0, HeaderEnd);
   int Version = 0;
-  if (!Lines.empty()) {
-    if (Lines[0] == MagicV1)
-      Version = 1;
-    else if (Lines[0] == MagicV2)
-      Version = 2;
-    else if (Lines[0].starts_with("pgmp-profile\t"))
-      return Fail(ProfileLoadStatus::Malformed,
-                  "unsupported profile version '" + std::string(Lines[0]) +
-                      "'");
-  }
+  if (Header == MagicV1)
+    Version = 1;
+  else if (Header == MagicV2)
+    Version = 2;
+  else if (Header.starts_with("pgmp-profile\t"))
+    return Fail(ProfileLoadStatus::Malformed,
+                "unsupported profile version '" + std::string(Header) + "'");
   if (Version == 0)
     return Fail(ProfileLoadStatus::Malformed, "bad profile file header");
   Report->Version = Version;
 
   // Validate the v2 checksum footer before looking at any record, so a
   // bit flip anywhere in the body reports as corruption, not as whatever
-  // record-level syntax error it happens to produce.
-  size_t CrcLine = 0;
+  // record-level syntax error it happens to produce. The footer is the
+  // last non-empty line after the header.
+  size_t CrcStart = std::string_view::npos;
   if (Version == 2) {
-    bool HaveCrc = false;
-    for (size_t I = Lines.size(); I-- > 1;) {
-      if (Lines[I].empty())
-        continue;
-      auto Fields = splitChar(Lines[I], '\t');
-      uint32_t Stored = 0;
-      if (Fields[0] != "crc" || Fields.size() != 2 ||
-          !parseHex32(Fields[1], Stored))
-        return Fail(ProfileLoadStatus::Corrupt,
-                    "profile missing checksum footer (file truncated?)");
-      size_t Offset = static_cast<size_t>(Lines[I].data() - Text.data());
-      if (crc32(std::string_view(Text).substr(0, Offset)) != Stored)
-        return Fail(ProfileLoadStatus::Corrupt,
-                    "profile checksum mismatch (file corrupt)");
-      CrcLine = I;
-      HaveCrc = true;
-      break;
-    }
-    if (!HaveCrc)
+    size_t End = All.size();
+    while (End > HeaderEnd + 1 && All[End - 1] == '\n')
+      --End;
+    if (End <= HeaderEnd + 1)
       return Fail(ProfileLoadStatus::Corrupt,
                   "profile missing checksum footer (file truncated?)");
+    CrcStart = All.rfind('\n', End - 1) + 1;
+    std::string_view Footer = All.substr(CrcStart, End - CrcStart);
+    uint32_t Stored = 0;
+    if (!Footer.starts_with("crc\t") || !parseHex32(Footer.substr(4), Stored))
+      return Fail(ProfileLoadStatus::Corrupt,
+                  "profile missing checksum footer (file truncated?)");
+    if (crc32(All.substr(0, CrcStart)) != Stored)
+      return Fail(ProfileLoadStatus::Corrupt,
+                  "profile checksum mismatch (file corrupt)");
     Report->ChecksumChecked = true;
   }
 
-  // All-or-nothing: parse into a scratch database, merge only on success.
+  // One pass over the records, all-or-nothing: parse into a scratch
+  // database and merge only on success. Line numbers are rendered only
+  // for error messages.
   ProfileDatabase Parsed;
   bool SawDatasets = false;
-  std::unordered_set<const SourceObject *> SeenPoints;
-  std::unordered_set<std::string> SeenSourceFiles;
+  std::unordered_set<std::string_view> SeenSourceFiles;
+  // Stored records are grouped by file, so one cached file id serves
+  // every point after the first of each file.
+  std::string_view PrevFile;
+  PointFileId PrevFileId = 0;
+  bool HavePrevFile = false;
 
-  for (size_t I = 1; I < Lines.size(); ++I) {
-    std::string_view Line = Lines[I];
-    if (Line.empty() || (Version == 2 && I == CrcLine))
+  size_t LineIndex = 0;
+  for (size_t Pos = HeaderEnd; Pos < All.size();) {
+    size_t Start = Pos + 1;
+    size_t Stop = std::min(All.find('\n', Start), All.size());
+    Pos = Stop;
+    ++LineIndex;
+    if (Start >= Stop || Start == CrcStart)
       continue;
-    auto Fields = splitChar(Line, '\t');
-    std::string LineNo = std::to_string(I + 1);
+    std::string_view Line = All.substr(Start, Stop - Start);
+    RecordFields Fields(Line);
+    const std::string_view *F = Fields.F;
+    auto LineNo = [&] { return std::to_string(LineIndex + 1); };
 
-    if (Fields[0] == "datasets") {
+    if (F[0] == "datasets") {
       int64_t N;
-      if (Fields.size() != 2 || !parseInt64(Fields[1], N) || N < 0)
+      if (Fields.N != 2 || !parseInt64(F[1], N) || N < 0)
         return Fail(ProfileLoadStatus::Malformed,
-                    "bad datasets line " + LineNo);
+                    "bad datasets line " + LineNo());
       if (SawDatasets)
         return Fail(ProfileLoadStatus::Malformed,
-                    "duplicate datasets record on line " + LineNo);
+                    "duplicate datasets record on line " + LineNo());
       Parsed.mergeDatasetCount(static_cast<uint64_t>(N));
       SawDatasets = true;
       continue;
     }
 
-    if (Fields[0] == "point") {
+    if (F[0] == "point") {
       int64_t Begin, End, PtLine, Col, Count;
       double WeightSum;
-      if (Fields.size() != 9 || !parseInt64(Fields[2], Begin) ||
-          !parseInt64(Fields[3], End) || !parseInt64(Fields[4], PtLine) ||
-          !parseInt64(Fields[5], Col) || !parseDouble(Fields[7], WeightSum) ||
-          !parseInt64(Fields[8], Count))
-        return Fail(ProfileLoadStatus::Malformed, "bad point line " + LineNo);
+      if (Fields.N != 9 || !parseInt64(F[2], Begin) ||
+          !parseInt64(F[3], End) || !parseInt64(F[4], PtLine) ||
+          !parseInt64(F[5], Col) || !parseDouble(F[7], WeightSum) ||
+          !parseInt64(F[8], Count))
+        return Fail(ProfileLoadStatus::Malformed,
+                    "bad point line " + LineNo());
       if (Begin < 0 || End < 0 || PtLine < 0 || Col < 0 ||
           Begin > UINT32_MAX || End > UINT32_MAX || PtLine > UINT32_MAX ||
           Col > UINT32_MAX)
         return Fail(ProfileLoadStatus::Malformed,
                     "point with out-of-range source location on line " +
-                        LineNo);
+                        LineNo());
       if (Begin > End)
         return Fail(ProfileLoadStatus::Malformed,
-                    "point with begin > end source range on line " + LineNo);
+                    "point with begin > end source range on line " +
+                        LineNo());
       if (!(WeightSum >= 0) || std::isinf(WeightSum))
         return Fail(ProfileLoadStatus::Malformed,
-                    "point with invalid weight '" + std::string(Fields[7]) +
-                        "' on line " + LineNo);
+                    "point with invalid weight '" + std::string(F[7]) +
+                        "' on line " + LineNo());
       if (Count < 0)
         return Fail(ProfileLoadStatus::Malformed,
-                    "point with negative count on line " + LineNo);
+                    "point with negative count on line " + LineNo());
+      if (!HavePrevFile || F[1] != PrevFile) {
+        PrevFileId = Sources.internFile(F[1]);
+        PrevFile = F[1];
+        HavePrevFile = true;
+      }
       const SourceObject *Src = Sources.intern(
-          std::string(Fields[1]), static_cast<uint32_t>(Begin),
-          static_cast<uint32_t>(End), static_cast<uint32_t>(PtLine),
-          static_cast<uint32_t>(Col), Fields[6] == "g");
-      if (Version >= 2 && !SeenPoints.insert(Src).second)
+          PrevFileId, static_cast<uint32_t>(Begin), static_cast<uint32_t>(End),
+          static_cast<uint32_t>(PtLine), static_cast<uint32_t>(Col),
+          F[6] == "g");
+      bool New = Parsed.mergeEntry(
+          Src, ProfileDatabase::Entry{WeightSum, static_cast<uint64_t>(Count)});
+      if (!New && Version >= 2)
         return Fail(ProfileLoadStatus::Malformed,
-                    "duplicate point record on line " + LineNo);
-      Parsed.mergeEntry(Src, ProfileDatabase::Entry{
-                                 WeightSum, static_cast<uint64_t>(Count)});
+                    "duplicate point record on line " + LineNo());
       continue;
     }
 
-    if (Fields[0] == "source" && Version >= 2) {
+    if (F[0] == "source" && Version >= 2) {
       uint64_t Fp;
-      if (Fields.size() != 3 || Fields[1].empty() ||
-          !parseHex64(Fields[2], Fp))
+      if (Fields.N != 3 || F[1].empty() || !parseHex64(F[2], Fp))
         return Fail(ProfileLoadStatus::Malformed,
-                    "bad source record on line " + LineNo);
-      std::string File(Fields[1]);
-      if (!SeenSourceFiles.insert(File).second)
+                    "bad source record on line " + LineNo());
+      if (!SeenSourceFiles.insert(F[1]).second)
         return Fail(ProfileLoadStatus::Malformed,
-                    "duplicate source record on line " + LineNo);
-      Report->Fingerprints.emplace_back(File, Fp);
+                    "duplicate source record on line " + LineNo());
+      std::string File(F[1]);
       if (SM) {
         if (const std::string *Contents = SM->contentsByName(File))
           if (fnv1a64(*Contents) != Fp)
             Report->StaleFiles.push_back(File);
       }
+      Report->Fingerprints.emplace_back(std::move(File), Fp);
       continue;
     }
 
-    if (Fields[0] == "crc" && Version >= 2)
+    if (F[0] == "crc" && Version >= 2)
       return Fail(ProfileLoadStatus::Malformed,
-                  "misplaced checksum footer on line " + LineNo);
+                  "misplaced checksum footer on line " + LineNo());
 
     return Fail(ProfileLoadStatus::Malformed,
-                "unknown record '" + std::string(Fields[0]) + "' on line " +
-                    LineNo);
+                "unknown record '" + std::string(F[0]) + "' on line " +
+                    LineNo());
   }
 
   if (!SawDatasets)
@@ -259,9 +306,7 @@ bool pgmp::parseProfile(const std::string &Text, SourceObjectTable &Sources,
 
   Report->NumPoints = Parsed.numPoints();
   Report->NumDatasets = Parsed.numDatasets();
-  Db.mergeDatasetCount(Parsed.numDatasets());
-  for (const auto &[Src, E] : Parsed.entries())
-    Db.mergeEntry(Src, E);
+  Db.merge(std::move(Parsed));
   return true;
 }
 

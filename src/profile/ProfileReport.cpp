@@ -68,6 +68,17 @@ std::string flattenExcerpt(std::string_view Text, size_t Width) {
   return Out;
 }
 
+/// Orders equally hot points by file name, then by the decimal spellings
+/// of their offsets (the report's long-standing tie order).
+std::string tieKey(const SourceObject *Src) {
+  std::string Key(Src->File);
+  Key += '\x01';
+  Key += std::to_string(Src->BeginOffset);
+  Key += '\x01';
+  Key += std::to_string(Src->EndOffset);
+  return Key;
+}
+
 } // namespace
 
 std::vector<ProfileHotRow> pgmp::profileHotRows(const ProfileSnapshot &S) {
@@ -81,7 +92,7 @@ std::vector<ProfileHotRow> pgmp::profileHotRows(const ProfileSnapshot &S) {
                 return A.Weight > B.Weight;
               if (A.Count != B.Count)
                 return A.Count > B.Count;
-              return A.Src->key() < B.Src->key(); // deterministic ties
+              return tieKey(A.Src) < tieKey(B.Src); // deterministic ties
             });
   return Rows;
 }
@@ -149,7 +160,8 @@ std::string pgmp::renderProfileReport(const ProfileDatabase &Db,
       Out += "  ";
       if (R.Src->Generated) {
         Out += "<generated>";
-      } else if (const std::string *Text = Excerpts.textOf(R.Src->File)) {
+      } else if (const std::string *Text =
+                     Excerpts.textOf(std::string(R.Src->File))) {
         uint32_t Begin = std::min<uint32_t>(R.Src->BeginOffset,
                                             static_cast<uint32_t>(Text->size()));
         uint32_t End = std::min<uint32_t>(R.Src->EndOffset,

@@ -179,9 +179,13 @@ Token Lexer::lexCharacter(SourcePos Start) {
 }
 
 Token Lexer::lexAtom(SourcePos Start) {
-  std::string Spelling;
+  // Atoms never contain a newline, so the scan only advances the column;
+  // the spelling stays a view of the text until a symbol needs a copy.
+  size_t Begin = Pos;
   while (!atEnd() && isSymbolChar(peek()))
-    Spelling += advance();
+    ++Pos;
+  Column += static_cast<uint32_t>(Pos - Begin);
+  std::string_view Spelling = Text.substr(Begin, Pos - Begin);
   assert(!Spelling.empty() && "lexAtom called on non-atom");
 
   Token T;
@@ -212,7 +216,7 @@ Token Lexer::lexAtom(SourcePos Start) {
     return T;
   }
   T.Kind = TokenKind::Symbol;
-  T.Text = std::move(Spelling);
+  T.Text = Spelling;
   return T;
 }
 

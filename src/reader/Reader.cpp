@@ -10,7 +10,8 @@ using namespace pgmp;
 Reader::Reader(Heap &H, SymbolTable &Symbols, SourceObjectTable &Sources,
                std::string_view Text, std::string FileName)
     : H(H), Symbols(Symbols), Sources(Sources), Lex(Text, FileName),
-      FileName(std::move(FileName)) {}
+      FileName(std::move(FileName)),
+      FileId(Sources.internFile(this->FileName)) {}
 
 void Reader::fail(const std::string &Msg, const SourcePos &At) {
   raiseError(Msg, FileName + ":" + std::to_string(At.Line) + ":" +
@@ -18,7 +19,7 @@ void Reader::fail(const std::string &Msg, const SourcePos &At) {
 }
 
 const SourceObject *Reader::sourceFor(const SourceRange &R) {
-  return Sources.intern(FileName, R.Begin.Offset, R.End.Offset, R.Begin.Line,
+  return Sources.intern(FileId, R.Begin.Offset, R.End.Offset, R.Begin.Line,
                         R.Begin.Column);
 }
 

@@ -62,6 +62,7 @@ private:
   SourceObjectTable &Sources;
   Lexer Lex;
   std::string FileName;
+  PointFileId FileId; ///< FileName in Sources, resolved once
   uint32_t Depth = 0; ///< current readDatum recursion depth
 };
 

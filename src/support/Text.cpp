@@ -3,6 +3,8 @@
 #include "support/Text.h"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,28 +68,90 @@ std::vector<std::string_view> pgmp::splitChar(std::string_view S, char Sep) {
   }
 }
 
+namespace {
+
+/// Calls \p Parse with a NUL-terminated copy of \p S and its end: on the
+/// stack when it fits, so the short spellings the lexer and the profile
+/// loader parse allocate nothing.
+template <typename Fn> bool withCString(std::string_view S, Fn Parse) {
+  char Stack[64];
+  if (S.size() < sizeof(Stack)) {
+    std::memcpy(Stack, S.data(), S.size());
+    Stack[S.size()] = '\0';
+    return Parse(Stack, Stack + S.size());
+  }
+  std::string Heap(S);
+  return Parse(Heap.c_str(), Heap.c_str() + Heap.size());
+}
+
+/// True if the mantissa of a decimal spelling (everything before its
+/// exponent) has no nonzero digit, so the value is exactly zero.
+bool zeroMantissa(std::string_view S) {
+  for (char C : S) {
+    if (C == 'e' || C == 'E')
+      return true;
+    if (C >= '1' && C <= '9')
+      return false;
+  }
+  return true;
+}
+
+} // namespace
+
 bool pgmp::parseInt64(std::string_view S, int64_t &Out) {
   if (S.empty())
     return false;
-  std::string Buf(S);
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(Buf.c_str(), &End, 10);
-  if (errno != 0 || End != Buf.c_str() + Buf.size())
-    return false;
-  Out = static_cast<int64_t>(V);
-  return true;
+  // Fast path: an optional '-' and at most 18 digits cannot overflow.
+  // Everything else (signs, whitespace, long or malformed spellings) is
+  // left to strtoll, so the accepted strings are exactly strtoll's.
+  size_t I = S[0] == '-' ? 1 : 0;
+  if (S.size() > I && S.size() - I <= 18) {
+    int64_t V = 0;
+    for (; I < S.size(); ++I) {
+      unsigned D = static_cast<unsigned char>(S[I]) - '0';
+      if (D > 9)
+        break;
+      V = V * 10 + D;
+    }
+    if (I == S.size()) {
+      Out = S[0] == '-' ? -V : V;
+      return true;
+    }
+  }
+  return withCString(S, [&](const char *Begin, const char *End) {
+    errno = 0;
+    char *Stop = nullptr;
+    long long V = std::strtoll(Begin, &Stop, 10);
+    if (errno != 0 || Stop != End)
+      return false;
+    Out = static_cast<int64_t>(V);
+    return true;
+  });
 }
 
 bool pgmp::parseDouble(std::string_view S, double &Out) {
   if (S.empty())
     return false;
-  std::string Buf(S);
-  errno = 0;
-  char *End = nullptr;
-  double V = std::strtod(Buf.c_str(), &End);
-  if (errno != 0 || End != Buf.c_str() + Buf.size())
-    return false;
-  Out = V;
-  return true;
+  // Fast path: a plain decimal spelling that from_chars reads whole into
+  // a normal value, or into zero from an all-zero mantissa, is one that
+  // strtod reads to the same correctly rounded value without ERANGE.
+  // Anything else (a '+', whitespace, hex, inf/nan, overflow, underflow
+  // and subnormals) goes to strtod, so the accepted strings and their
+  // values are exactly strtod's.
+  double V = 0;
+  auto [Ptr, Ec] = std::from_chars(S.data(), S.data() + S.size(), V);
+  if (Ec == std::errc() && Ptr == S.data() + S.size() &&
+      (std::isnormal(V) || (V == 0 && zeroMantissa(S)))) {
+    Out = V;
+    return true;
+  }
+  return withCString(S, [&](const char *Begin, const char *End) {
+    errno = 0;
+    char *Stop = nullptr;
+    double D = std::strtod(Begin, &Stop);
+    if (errno != 0 || Stop != End)
+      return false;
+    Out = D;
+    return true;
+  });
 }

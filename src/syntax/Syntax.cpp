@@ -5,6 +5,8 @@
 #include "support/Diagnostics.h"
 
 #include <algorithm>
+#include <iterator>
+#include <new>
 
 using namespace pgmp;
 
@@ -13,41 +15,135 @@ using namespace pgmp;
 //===----------------------------------------------------------------------===//
 
 bool ScopeSet::contains(ScopeId S) const {
-  return std::binary_search(Ids.begin(), Ids.end(), S);
+  return std::binary_search(begin(), end(), S);
 }
 
-ScopeSet ScopeSet::withScope(ScopeId S) const {
-  if (contains(S))
-    return *this;
-  ScopeSet Out = *this;
-  Out.Ids.insert(std::upper_bound(Out.Ids.begin(), Out.Ids.end(), S), S);
-  return Out;
-}
-
-ScopeSet ScopeSet::flipped(ScopeId S) const {
-  ScopeSet Out = *this;
-  auto It = std::lower_bound(Out.Ids.begin(), Out.Ids.end(), S);
-  if (It != Out.Ids.end() && *It == S)
-    Out.Ids.erase(It);
-  else
-    Out.Ids.insert(It, S);
-  return Out;
-}
-
-bool ScopeSet::isSubsetOf(const ScopeSet &Other) const {
-  return std::includes(Other.Ids.begin(), Other.Ids.end(), Ids.begin(),
-                       Ids.end());
+bool ScopeSet::isSubsetOf(ScopeSet Other) const {
+  if (R == Other.R || !R)
+    return true;
+  return size() <= Other.size() &&
+         std::includes(Other.begin(), Other.end(), begin(), end());
 }
 
 std::string ScopeSet::describe() const {
   std::string Out = "{";
-  for (size_t I = 0; I < Ids.size(); ++I) {
-    if (I)
+  for (const ScopeId *I = begin(); I != end(); ++I) {
+    if (I != begin())
       Out += ",";
-    Out += std::to_string(Ids[I]);
+    Out += std::to_string(*I);
   }
   Out += "}";
   return Out;
+}
+
+//===----------------------------------------------------------------------===//
+// ScopeSetTable
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+uint32_t hashIds(const ScopeId *Ids, uint32_t Size) {
+  uint64_t H = 0xCBF29CE484222325ull ^ Size;
+  for (uint32_t I = 0; I < Size; ++I)
+    H = (H ^ Ids[I]) * 0x100000001B3ull;
+  return static_cast<uint32_t>(H ^ (H >> 32));
+}
+
+} // namespace
+
+ScopeSet ScopeSetTable::adjust(ScopeSet Set, ScopeId S, bool Flip) {
+  uint32_t Op = Flip ? 2 : 1;
+  if (!Memo)
+    Memo = std::make_unique<MemoEntry[]>(MemoEntries);
+  size_t Slot = ((reinterpret_cast<uintptr_t>(Set.R) >> 4) ^
+                 (static_cast<size_t>(S) * 0x9E3779B1u) ^ Op) &
+                (MemoEntries - 1);
+  MemoEntry &M = Memo[Slot];
+  if (M.Op == Op && M.From == Set.R && M.S == S)
+    return ScopeSet(M.To);
+
+  const ScopeId *It = std::lower_bound(Set.begin(), Set.end(), S);
+  bool Has = It != Set.end() && *It == S;
+  const ScopeSet::Rep *Out = Set.R;
+  if (Flip || !Has) {
+    // The new contents, built on the stack unless the set is unusually
+    // large: Set's ids with S removed (Has) or inserted in order.
+    size_t N = Set.size();
+    size_t Before = static_cast<size_t>(It - Set.begin());
+    ScopeId Stack[32];
+    std::unique_ptr<ScopeId[]> Big;
+    ScopeId *Buf = Stack;
+    if (N + 1 > std::size(Stack)) {
+      Big = std::make_unique<ScopeId[]>(N + 1);
+      Buf = Big.get();
+    }
+    std::copy(Set.begin(), It, Buf);
+    size_t Size;
+    if (Has) {
+      std::copy(It + 1, Set.end(), Buf + Before);
+      Size = N - 1;
+    } else {
+      Buf[Before] = S;
+      std::copy(It, Set.end(), Buf + Before + 1);
+      Size = N + 1;
+    }
+    Out = intern(Buf, static_cast<uint32_t>(Size));
+  }
+  M = MemoEntry{Set.R, Out, S, Op};
+  return ScopeSet(Out);
+}
+
+const ScopeSet::Rep *ScopeSetTable::intern(const ScopeId *Ids,
+                                           uint32_t Size) {
+  if (Size == 0)
+    return nullptr;
+  uint32_t Hash = hashIds(Ids, Size);
+  if ((NumSets + 1) * 2 > Slots.size())
+    growSlots();
+  size_t Mask = Slots.size() - 1;
+  size_t I = Hash & Mask;
+  for (; Slots[I]; I = (I + 1) & Mask) {
+    const ScopeSet::Rep *R = Slots[I];
+    if (R->Hash == Hash && R->Size == Size &&
+        std::equal(Ids, Ids + Size, R->Ids))
+      return R;
+  }
+  void *Mem = allocate(sizeof(ScopeSet::Rep) + Size * sizeof(ScopeId));
+  auto *Copy = reinterpret_cast<ScopeId *>(static_cast<std::byte *>(Mem) +
+                                           sizeof(ScopeSet::Rep));
+  std::copy(Ids, Ids + Size, Copy);
+  const ScopeSet::Rep *R = new (Mem) ScopeSet::Rep{Copy, Size, Hash};
+  Slots[I] = R;
+  ++NumSets;
+  return R;
+}
+
+void *ScopeSetTable::allocate(size_t Bytes) {
+  Bytes = (Bytes + alignof(ScopeSet::Rep) - 1) & ~(alignof(ScopeSet::Rep) - 1);
+  if (static_cast<size_t>(Limit - Cur) < Bytes) {
+    size_t BlockSize = std::max(BlockBytes, Bytes);
+    Blocks.push_back(std::make_unique<std::byte[]>(BlockSize));
+    Cur = Blocks.back().get();
+    Limit = Cur + BlockSize;
+  }
+  void *Out = Cur;
+  Cur += Bytes;
+  return Out;
+}
+
+void ScopeSetTable::growSlots() {
+  std::vector<const ScopeSet::Rep *> Old(Slots.empty() ? 256
+                                                       : Slots.size() * 2);
+  Old.swap(Slots);
+  size_t Mask = Slots.size() - 1;
+  for (const ScopeSet::Rep *R : Old) {
+    if (!R)
+      continue;
+    size_t I = R->Hash & Mask;
+    while (Slots[I])
+      I = (I + 1) & Mask;
+    Slots[I] = R;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -56,8 +152,7 @@ std::string ScopeSet::describe() const {
 
 Value pgmp::makeSyntax(Heap &H, Value Inner, ScopeSet Scopes,
                        const SourceObject *Src) {
-  return Value::object(ValueKind::Syntax,
-                       H.make<Syntax>(Inner, std::move(Scopes), Src));
+  return Value::object(ValueKind::Syntax, H.make<Syntax>(Inner, Scopes, Src));
 }
 
 Value pgmp::syntaxE(const Value &V) {
@@ -113,23 +208,24 @@ Value pgmp::datumToSyntax(Heap &H, const Syntax &CtxId, const Value &Datum) {
   }
 }
 
-Value pgmp::adjustScope(Heap &H, const Value &V, ScopeId S, ScopeOp Op) {
+Value pgmp::adjustScope(Heap &H, ScopeSetTable &Sets, const Value &V,
+                        ScopeId S, ScopeOp Op) {
   switch (V.kind()) {
   case ValueKind::Syntax: {
     Syntax *Stx = V.asSyntax();
-    ScopeSet NewScopes = Op == ScopeOp::Add ? Stx->Scopes.withScope(S)
-                                            : Stx->Scopes.flipped(S);
-    Value NewInner = adjustScope(H, Stx->Inner, S, Op);
-    return makeSyntax(H, NewInner, std::move(NewScopes), Stx->Src);
+    ScopeSet NewScopes = Op == ScopeOp::Add ? Sets.withScope(Stx->Scopes, S)
+                                            : Sets.flipped(Stx->Scopes, S);
+    Value NewInner = adjustScope(H, Sets, Stx->Inner, S, Op);
+    return makeSyntax(H, NewInner, NewScopes, Stx->Src);
   }
   case ValueKind::Pair:
-    return H.cons(adjustScope(H, V.asPair()->Car, S, Op),
-                  adjustScope(H, V.asPair()->Cdr, S, Op));
+    return H.cons(adjustScope(H, Sets, V.asPair()->Car, S, Op),
+                  adjustScope(H, Sets, V.asPair()->Cdr, S, Op));
   case ValueKind::Vector: {
     std::vector<Value> Elems;
     Elems.reserve(V.asVector()->Elems.size());
     for (const Value &E : V.asVector()->Elems)
-      Elems.push_back(adjustScope(H, E, S, Op));
+      Elems.push_back(adjustScope(H, Sets, E, S, Op));
     return H.vector(std::move(Elems));
   }
   default:
@@ -153,11 +249,11 @@ Syntax *pgmp::asIdentifier(const Value &V) {
 //===----------------------------------------------------------------------===//
 
 void BindingTable::add(Symbol *Sym, ScopeSet Scopes, BindingLabel Label) {
-  Entries[Sym].push_back(Entry{std::move(Scopes), Label});
+  Entries[Sym].push_back(Entry{Scopes, Label});
 }
 
 BindingTable::Resolution BindingTable::resolve(Symbol *Sym,
-                                               const ScopeSet &RefScopes) const {
+                                               ScopeSet RefScopes) const {
   Resolution R;
   auto It = Entries.find(Sym);
   if (It == Entries.end())

@@ -19,6 +19,9 @@
 #include "syntax/SymbolTable.h"
 #include "syntax/Value.h"
 
+#include <cstddef>
+#include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -28,26 +31,92 @@ struct SourceObject;
 
 using ScopeId = uint32_t;
 
-/// An immutable sorted set of scope ids. Small (a handful of scopes per
-/// identifier), so a sorted vector beats anything fancier.
+class ScopeSetTable;
+
+/// An immutable sorted set of scope ids, interned (hash-consed) in a
+/// ScopeSetTable: a handle to the table's one copy of its contents, so
+/// copying a set copies a pointer and equal sets are the same pointer.
+/// The default-constructed set is the empty set and needs no table.
 class ScopeSet {
 public:
   ScopeSet() = default;
 
   bool contains(ScopeId S) const;
-  ScopeSet withScope(ScopeId S) const;
-  ScopeSet flipped(ScopeId S) const;
-  bool isSubsetOf(const ScopeSet &Other) const;
-  size_t size() const { return Ids.size(); }
+  bool isSubsetOf(ScopeSet Other) const;
+  size_t size() const { return R ? R->Size : 0; }
 
-  friend bool operator==(const ScopeSet &A, const ScopeSet &B) {
-    return A.Ids == B.Ids;
-  }
+  /// Equality is identity: both sets must come from the same table.
+  friend bool operator==(ScopeSet A, ScopeSet B) { return A.R == B.R; }
 
   std::string describe() const;
 
 private:
-  std::vector<ScopeId> Ids;
+  friend class ScopeSetTable;
+  /// The interned contents: Size ids, sorted ascending, no duplicates.
+  struct Rep {
+    const ScopeId *Ids;
+    uint32_t Size;
+    uint32_t Hash;
+  };
+  explicit ScopeSet(const Rep *R) : R(R) {}
+  const ScopeId *begin() const { return R ? R->Ids : nullptr; }
+  const ScopeId *end() const { return R ? R->Ids + R->Size : nullptr; }
+
+  const Rep *R = nullptr; ///< null is the empty set
+};
+
+/// The interning table behind ScopeSet, one per Context (pool workers
+/// expand concurrently, each in its own Context). It grows with the
+/// distinct sets a session builds, the way BindingTable grows with its
+/// binders, and never shrinks: syntax and bindings refer to its sets for
+/// the life of the session. Adding or flipping a scope goes through a
+/// small direct-mapped memo keyed by (set, scope, op), so a tree walk
+/// that meets the same set again costs one probe; being a fixed-size
+/// cache, the memo needs no clearing.
+class ScopeSetTable {
+public:
+  ScopeSetTable() = default;
+  ScopeSetTable(const ScopeSetTable &) = delete;
+  ScopeSetTable &operator=(const ScopeSetTable &) = delete;
+
+  /// \p Set with \p S added (\p Set itself when it already has \p S).
+  ScopeSet withScope(ScopeSet Set, ScopeId S) {
+    return adjust(Set, S, /*Flip=*/false);
+  }
+  /// \p Set with \p S removed if present, added if not.
+  ScopeSet flipped(ScopeSet Set, ScopeId S) {
+    return adjust(Set, S, /*Flip=*/true);
+  }
+
+  /// Number of distinct non-empty sets interned so far.
+  size_t numSets() const { return NumSets; }
+
+private:
+  static constexpr size_t MemoEntries = 1024;
+  static constexpr size_t BlockBytes = 16 * 1024;
+
+  struct MemoEntry {
+    const ScopeSet::Rep *From = nullptr;
+    const ScopeSet::Rep *To = nullptr;
+    ScopeId S = 0;
+    uint32_t Op = 0; ///< 0 empty, 1 add, 2 flip
+  };
+
+  ScopeSet adjust(ScopeSet Set, ScopeId S, bool Flip);
+  /// The interned set of the \p Size sorted ids at \p Ids.
+  const ScopeSet::Rep *intern(const ScopeId *Ids, uint32_t Size);
+  void *allocate(size_t Bytes);
+  void growSlots();
+
+  /// Open-addressing index over the interned sets (linear probing,
+  /// power-of-two size, at most half full); null marks an empty slot.
+  std::vector<const ScopeSet::Rep *> Slots;
+  size_t NumSets = 0;
+  /// Bump-allocated storage for each Rep and its ids.
+  std::vector<std::unique_ptr<std::byte[]>> Blocks;
+  std::byte *Cur = nullptr;
+  std::byte *Limit = nullptr;
+  std::unique_ptr<MemoEntry[]> Memo; ///< allocated on first use
 };
 
 /// A datum annotated with scopes and a source object. For compound data
@@ -56,8 +125,7 @@ private:
 class Syntax : public Obj {
 public:
   Syntax(Value Inner, ScopeSet Scopes, const SourceObject *Src)
-      : Obj(ValueKind::Syntax), Inner(Inner), Scopes(std::move(Scopes)),
-        Src(Src) {}
+      : Obj(ValueKind::Syntax), Inner(Inner), Scopes(Scopes), Src(Src) {}
 
   Value Inner;
   ScopeSet Scopes;
@@ -66,6 +134,11 @@ public:
   bool isIdentifier() const { return Inner.isSymbol(); }
   Symbol *identifierSymbol() const { return Inner.asSymbol(); }
 };
+
+// Scope sets are interned handles, so syntax objects own nothing: the heap
+// allocates them without a destructor record (DESIGN.md §6).
+static_assert(std::is_trivially_destructible_v<Syntax>,
+              "Syntax must stay trivially destructible");
 
 /// Convenience: make a Syntax value.
 Value makeSyntax(Heap &H, Value Inner, ScopeSet Scopes,
@@ -83,9 +156,10 @@ Value syntaxToDatum(Heap &H, const Value &V);
 Value datumToSyntax(Heap &H, const Syntax &CtxId, const Value &Datum);
 
 /// Adds or flips a scope over an entire syntax tree (rebuilds the tree;
-/// input is never mutated).
+/// input is never mutated). New scope sets are interned in \p Sets.
 enum class ScopeOp { Add, Flip };
-Value adjustScope(Heap &H, const Value &V, ScopeId S, ScopeOp Op);
+Value adjustScope(Heap &H, ScopeSetTable &Sets, const Value &V, ScopeId S,
+                  ScopeOp Op);
 
 /// Source object of \p V if it is syntax with one, else null.
 const SourceObject *syntaxSource(const Value &V);
@@ -117,7 +191,7 @@ public:
   /// Finds the binding of \p Sym whose scope set is the largest subset of
   /// \p RefScopes. Ambiguity (two maximal candidates, neither a superset)
   /// is reported rather than resolved arbitrarily.
-  Resolution resolve(Symbol *Sym, const ScopeSet &RefScopes) const;
+  Resolution resolve(Symbol *Sym, ScopeSet RefScopes) const;
 
   BindingLabel freshLabel() { return NextLabel++; }
 

@@ -40,6 +40,12 @@ std::string slurp(const std::string &Path) {
   return Out;
 }
 
+/// A point's identity as text, comparable across interning tables.
+std::string pointKey(const SourceObject *Src) {
+  return std::string(Src->File) + ":" + std::to_string(Src->BeginOffset) +
+         "-" + std::to_string(Src->EndOffset);
+}
+
 // A workload with a clear hot/cold split. The buffer name is a stable
 // (non-ephemeral) .scm name so stored profiles fingerprint it.
 const char *Workload =
@@ -168,7 +174,7 @@ TEST(ParallelProfile, MergedCountsEqualSequentialSum) {
       ASSERT_TRUE(E.evalString(Workload, WorkloadName).Ok);
     E.foldCountersIntoProfile();
     for (const auto &[Src, Entry] : E.snapshot().entries())
-      SeqCounts[Src->key()] = Entry.TotalCount;
+      SeqCounts[pointKey(Src)] = Entry.TotalCount;
     ASSERT_FALSE(SeqCounts.empty());
   }
 
@@ -189,8 +195,8 @@ TEST(ParallelProfile, MergedCountsEqualSequentialSum) {
   EXPECT_EQ(S.datasets(), Jobs) << "one data set per worker";
   ASSERT_EQ(S.points(), SeqCounts.size());
   for (const auto &[Src, Entry] : S.entries())
-    EXPECT_EQ(Entry.TotalCount, Jobs * SeqCounts.at(Src->key()))
-        << "at " << Src->key();
+    EXPECT_EQ(Entry.TotalCount, Jobs * SeqCounts.at(pointKey(Src)))
+        << "at " << pointKey(Src);
 }
 
 TEST(ParallelProfile, MergedProfileBitIdenticalToSequential) {

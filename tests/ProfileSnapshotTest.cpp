@@ -15,6 +15,11 @@
 
 #include "TestUtil.h"
 
+#include "profile/ProfileIO.h"
+#include "reader/Reader.h"
+#include "support/Checksum.h"
+
+#include <algorithm>
 #include <optional>
 
 using namespace pgmp;
@@ -114,6 +119,83 @@ TEST(ProfileSnapshot, SchemeQueriesAgreeWithSnapshot) {
 //===----------------------------------------------------------------------===//
 // EngineOptions
 //===----------------------------------------------------------------------===//
+
+//===----------------------------------------------------------------------===//
+// Point identity
+//===----------------------------------------------------------------------===//
+
+TEST(PointIdentity, EngineProfilePointAgreesWithReaderAndProfile) {
+  Engine E;
+  Context &C = E.context();
+  std::vector<Value> Forms =
+      readString(C.TheHeap, C.Symbols, C.Sources, "(+ 1 2)", "p.scm");
+  ASSERT_EQ(Forms.size(), 1u);
+  const SourceObject *Read = syntaxSource(Forms[0]);
+  EXPECT_EQ(E.profilePoint("p.scm", 0, 7), Read);
+  EXPECT_NE(E.profilePoint("q.scm", 0, 7), Read);
+
+  std::string Text = "pgmp-profile\t2\ndatasets\t1\n"
+                     "point\tp.scm\t0\t7\t1\t1\t-\t1\t3\n";
+  Text += "crc\t" + hex32(crc32(Text)) + "\n";
+  std::string Err;
+  ASSERT_TRUE(parseProfile(Text, C.Sources, C.ProfileDb, Err)) << Err;
+  EXPECT_EQ(E.snapshot().count(Read), 3u);
+  EXPECT_EQ(E.snapshot().count(E.profilePoint("p.scm", 0, 7)), 3u);
+}
+
+/// A v2 profile with \p Records (each ending in a newline) and a footer.
+std::string v2Text(const std::vector<std::string> &Records) {
+  std::string Out = "pgmp-profile\t2\ndatasets\t3\n";
+  for (const std::string &R : Records)
+    Out += R;
+  Out += "crc\t" + hex32(crc32(Out)) + "\n";
+  return Out;
+}
+
+std::vector<std::string> sortedRecords() {
+  // In serialized order: by file name, then offsets.
+  return {"point\t/home/user/project/alpha.scm\t0\t9\t1\t1\t-\t1\t9\n",
+          "point\t/home/user/project/alpha.scm\t3\t5\t1\t4\t-\t0.5\t4\n",
+          "point\t/home/user/project/alpha.scm%pgmp0\t0\t1\t1\t1\tg\t2\t6\n",
+          "point\t/home/user/project/beta.scm\t0\t9\t1\t1\t-\t"
+          "0.33333333333333331\t1\n",
+          "point\t/home/user/project/beta.scm\t3\t5\t1\t4\t-\t0\t0\n",
+          "point\tgamma.scm\t3\t5\t2\t1\t-\t1.25\t8\n"};
+}
+
+TEST(PointIdentity, ShuffledRecordsLoadTheSameDatabase) {
+  std::string Sorted = v2Text(sortedRecords());
+  std::vector<std::string> Shuffled = sortedRecords();
+  // Interleave the files so no two neighbours share one.
+  std::swap(Shuffled[1], Shuffled[3]);
+  std::swap(Shuffled[2], Shuffled[5]);
+  std::reverse(Shuffled.begin(), Shuffled.end());
+
+  SourceObjectTable T1, T2;
+  ProfileDatabase D1, D2;
+  std::string Err;
+  ASSERT_TRUE(parseProfile(Sorted, T1, D1, Err)) << Err;
+  ASSERT_TRUE(parseProfile(v2Text(Shuffled), T2, D2, Err)) << Err;
+  EXPECT_EQ(D2.numPoints(), 6u);
+  EXPECT_EQ(serializeProfile(D1), Sorted);
+  EXPECT_EQ(serializeProfile(D2), Sorted);
+  // Equal offsets in different files stayed distinct points.
+  EXPECT_NE(T2.intern("/home/user/project/alpha.scm", 3, 5, 1, 1),
+            T2.intern("/home/user/project/beta.scm", 3, 5, 1, 1));
+}
+
+TEST(PointIdentity, DuplicateAfterAFileSwitchIsRejected) {
+  std::vector<std::string> Records = sortedRecords();
+  Records.push_back(Records[1]); // alpha again, after gamma
+  SourceObjectTable T;
+  ProfileDatabase Db;
+  ProfileLoadReport Report;
+  std::string Err;
+  EXPECT_FALSE(parseProfile(v2Text(Records), T, Db, Err, nullptr, &Report));
+  EXPECT_EQ(Err, "duplicate point record on line 9");
+  EXPECT_EQ(Report.Status, ProfileLoadStatus::Malformed);
+  EXPECT_EQ(Db.numPoints(), 0u) << "a rejected profile merges nothing";
+}
 
 TEST(EngineOptions, DefaultsReproducePlainEngine) {
   Engine A;

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 using namespace pgmp;
 
 namespace {
@@ -185,9 +187,12 @@ TEST_F(WeightFixture, GeneratedPointsDeterministic) {
   const SourceObject *B1 = T1.makeGeneratedPoint("base.scm");
   const SourceObject *A2 = T2.makeGeneratedPoint("base.scm");
   const SourceObject *B2 = T2.makeGeneratedPoint("base.scm");
-  EXPECT_EQ(A1->key(), A2->key());
-  EXPECT_EQ(B1->key(), B2->key());
-  EXPECT_NE(A1->key(), B1->key());
+  auto Identity = [](const SourceObject *P) {
+    return std::tuple(std::string(P->File), P->BeginOffset, P->EndOffset);
+  };
+  EXPECT_EQ(Identity(A1), Identity(A2));
+  EXPECT_EQ(Identity(B1), Identity(B2));
+  EXPECT_NE(Identity(A1), Identity(B1));
   EXPECT_TRUE(A1->Generated);
   // Per-base sequences are independent.
   const SourceObject *C1 = T1.makeGeneratedPoint("other.scm");

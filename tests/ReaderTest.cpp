@@ -1,7 +1,9 @@
 //===- tests/ReaderTest.cpp - Reader/lexer unit & property tests ----------===//
 
+#include "profile/ProfileIO.h"
 #include "profile/SourceObject.h"
 #include "reader/Reader.h"
+#include "support/Checksum.h"
 #include "support/Diagnostics.h"
 #include "support/Rng.h"
 #include "syntax/Writer.h"
@@ -41,6 +43,43 @@ struct ReaderFixture : ::testing::Test {
     return "";
   }
 };
+
+TEST_F(ReaderFixture, ReaderAndProfilePointsAreOnePointer) {
+  // The point the reader attaches and the same (file, begin, end) loaded
+  // from a stored profile are one interned object.
+  Value V = readOne("  (foo bar)");
+  const SourceObject *Read = V.asSyntax()->Src;
+  std::string Text = "pgmp-profile\t2\ndatasets\t1\n"
+                     "point\ttest.scm\t2\t11\t9\t9\t-\t1\t4\n";
+  Text += "crc\t" + hex32(crc32(Text)) + "\n";
+  ProfileDatabase Db;
+  std::string Err;
+  ASSERT_TRUE(parseProfile(Text, SOT, Db, Err)) << Err;
+  ASSERT_EQ(Db.numPoints(), 1u);
+  EXPECT_EQ(Db.entries().begin()->first, Read);
+  EXPECT_EQ(Db.weight(Read), 1.0);
+  // First intern wins: the profile's line and column do not overwrite
+  // the reader's.
+  EXPECT_EQ(Read->Line, 1u);
+  EXPECT_EQ(Read->Column, 3u);
+}
+
+TEST_F(ReaderFixture, EqualOffsetsInTwoFilesAreDistinctPoints) {
+  Reader A(H, ST, SOT, "(x y)", "a.scm");
+  Reader B(H, ST, SOT, "(x y)", "b.scm");
+  const SourceObject *PA = A.readOne()->asSyntax()->Src;
+  const SourceObject *PB = B.readOne()->asSyntax()->Src;
+  EXPECT_NE(PA, PB);
+  EXPECT_EQ(PA->BeginOffset, PB->BeginOffset);
+  EXPECT_EQ(PA->EndOffset, PB->EndOffset);
+  EXPECT_EQ(PA->File, "a.scm");
+  EXPECT_EQ(PB->File, "b.scm");
+  EXPECT_NE(PA->FileId, PB->FileId);
+  // Re-reading a file finds its existing points.
+  Reader A2(H, ST, SOT, "(x y)", "a.scm");
+  EXPECT_EQ(A2.readOne()->asSyntax()->Src, PA);
+  EXPECT_EQ(SOT.intern("a.scm", 0, 5, 1, 1), PA);
+}
 
 TEST_F(ReaderFixture, Atoms) {
   EXPECT_EQ(readAsDatum("42"), "42");

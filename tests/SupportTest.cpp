@@ -1,11 +1,19 @@
 //===- tests/SupportTest.cpp - support/ unit tests ------------------------===//
 
+#include "profile/ProfileIO.h"
+#include "support/Checksum.h"
 #include "support/Diagnostics.h"
 #include "support/Rng.h"
 #include "support/SourceManager.h"
 #include "support/Text.h"
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
 
 using namespace pgmp;
 
@@ -60,6 +68,157 @@ TEST(Text, ParseDouble) {
   EXPECT_EQ(V, -1000.0);
   EXPECT_FALSE(parseDouble("abc", V));
   EXPECT_FALSE(parseDouble("1.5x", V));
+}
+
+/// The old, allocating parseInt64: the reference for which spellings are
+/// accepted and what they read as.
+bool referenceInt64(std::string_view S, int64_t &Out) {
+  if (S.empty())
+    return false;
+  std::string Buf(S);
+  errno = 0;
+  char *End = nullptr;
+  long long V = std::strtoll(Buf.c_str(), &End, 10);
+  if (errno != 0 || End != Buf.c_str() + Buf.size())
+    return false;
+  Out = static_cast<int64_t>(V);
+  return true;
+}
+
+/// The old, allocating parseDouble (same role as referenceInt64).
+bool referenceDouble(std::string_view S, double &Out) {
+  if (S.empty())
+    return false;
+  std::string Buf(S);
+  errno = 0;
+  char *End = nullptr;
+  double V = std::strtod(Buf.c_str(), &End);
+  if (errno != 0 || End != Buf.c_str() + Buf.size())
+    return false;
+  Out = V;
+  return true;
+}
+
+std::vector<std::string> numberSpellings() {
+  std::vector<std::string> Out = {
+      "0", "42", "-7", "+5", "-0", "007", " 12", "\t3", "12 ", "", "-", "+",
+      "4x", "1.5", "1.5x", "abc", ".5", "5.", "-.5", "+.5", "00.5", "1e",
+      "1e+", "1e+5", "1E5", "-1e3", "0.0", "-0.0", "0e999", "0.000e-999",
+      "123456789012345678", "-123456789012345678", "1234567890123456789",
+      "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+      "-9223372036854775809", "99999999999999999999", "1e400", "-1e400",
+      "1e-400", "1e-320", "4.9e-324", "2.2250738585072011e-308",
+      "2.2250738585072014e-308", "1.7976931348623157e308",
+      "1.7976931348623159e308", "0.66666666666666663",
+      "0.33333333333333331", "nan", "NaN", "-nan", "nan(0x1)", "inf",
+      "-inf", "+inf", "infinity", "0x1p3", "0x10", "0X1.8p1", "-0x1p-3",
+      "0x", "1_000", std::string("12\0", 3)};
+  // Spellings longer than the stack buffer, valid and not.
+  Out.push_back(std::string(70, '1'));
+  Out.push_back("0." + std::string(80, '0') + "1");
+  Out.push_back("-" + std::string(100, '0') + "42");
+  Out.push_back(std::string(90, '7') + "x");
+  Out.push_back("1." + std::string(200, '5') + "e-2");
+  return Out;
+}
+
+TEST(Text, ParseNumbersAcceptExactlyWhatStrtollAndStrtodAccept) {
+  for (const std::string &S : numberSpellings()) {
+    int64_t Got = 0, Want = 0;
+    bool GotOk = parseInt64(S, Got), WantOk = referenceInt64(S, Want);
+    EXPECT_EQ(GotOk, WantOk) << "parseInt64 '" << S << "'";
+    if (GotOk && WantOk) {
+      EXPECT_EQ(Got, Want) << "parseInt64 '" << S << "'";
+    }
+
+    double DGot = 0, DWant = 0;
+    GotOk = parseDouble(S, DGot);
+    WantOk = referenceDouble(S, DWant);
+    EXPECT_EQ(GotOk, WantOk) << "parseDouble '" << S << "'";
+    if (GotOk && WantOk) {
+      if (std::isnan(DWant))
+        EXPECT_TRUE(std::isnan(DGot)) << "parseDouble '" << S << "'";
+      else
+        EXPECT_EQ(std::memcmp(&DGot, &DWant, sizeof(double)), 0)
+            << "parseDouble '" << S << "': " << DGot << " vs " << DWant;
+    }
+  }
+}
+
+TEST(Text, ParseDoubleRoundTripsStoredWeights) {
+  // Every weight serializeProfile can write ("%.17g") reads back exactly.
+  Rng R(7);
+  char Buf[64];
+  for (int I = 0; I < 5000; ++I) {
+    double W = R.unit() * (I % 7 == 0 ? 1e-5 : 4.0);
+    std::snprintf(Buf, sizeof(Buf), "%.17g", W);
+    double Back = -1;
+    ASSERT_TRUE(parseDouble(Buf, Back)) << Buf;
+    EXPECT_EQ(Back, W) << Buf;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Checksum
+//===----------------------------------------------------------------------===//
+
+/// The bytewise CRC-32 the profile footer was first written with.
+uint32_t referenceCrc32(std::string_view Data) {
+  uint32_t C = 0xFFFFFFFFu;
+  for (unsigned char Byte : Data) {
+    C ^= Byte;
+    for (int K = 0; K < 8; ++K)
+      C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
+  }
+  return C ^ 0xFFFFFFFFu;
+}
+
+TEST(Checksum, Crc32KnownAnswer) {
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc32(""), 0u);
+  EXPECT_EQ(crc32("a"), 0xE8B7BE43u);
+}
+
+TEST(Checksum, Crc32MatchesBytewiseAtEveryLengthAndOffset) {
+  std::string Buf;
+  Rng R(11);
+  for (int I = 0; I < 64 + 8; ++I)
+    Buf += static_cast<char>(R.below(256));
+  for (size_t Offset = 0; Offset < 8; ++Offset)
+    for (size_t Len = 0; Len <= 64; ++Len) {
+      std::string_view Slice = std::string_view(Buf).substr(Offset, Len);
+      EXPECT_EQ(crc32(Slice), referenceCrc32(Slice))
+          << "offset " << Offset << " length " << Len;
+    }
+}
+
+TEST(Checksum, ProfileStoredWithTheBytewiseCrcStillLoads) {
+  // A v2 profile whose footer was computed by the bytewise crc32 before
+  // the slice-by-8 one replaced it; it must load, and store back byte
+  // for byte.
+  const std::string Stored =
+      "pgmp-profile\t2\n"
+      "datasets\t2\n"
+      "point\t/srv/app/src/module-one.scm\t0\t35\t1\t1\t-\t"
+      "0.66666666666666663\t2\n"
+      "point\t/srv/app/src/module-one.scm\t14\t34\t1\t15\t-\t1.5\t3\n"
+      "point\t/srv/app/src/module-one.scm%pgmp0\t0\t1\t1\t1\tg\t2\t7\n"
+      "point\tlib/two.scm\t19\t20\t1\t20\t-\t0.33333333333333331\t1\n"
+      "crc\t7ea4e9dc\n";
+  SourceObjectTable Sources;
+  ProfileDatabase Db;
+  ProfileLoadReport Report;
+  std::string Err;
+  ASSERT_TRUE(parseProfile(Stored, Sources, Db, Err, nullptr, &Report))
+      << Err;
+  EXPECT_TRUE(Report.ChecksumChecked);
+  EXPECT_EQ(Report.NumPoints, 4u);
+  EXPECT_EQ(Db.numDatasets(), 2u);
+  const SourceObject *Gen =
+      Sources.intern("/srv/app/src/module-one.scm%pgmp0", 0, 1, 1, 1);
+  EXPECT_TRUE(Gen->Generated);
+  EXPECT_EQ(Db.weight(Gen), 1.0);
+  EXPECT_EQ(serializeProfile(Db), Stored);
 }
 
 TEST(SourceManager, RegisterAndDescribe) {
