@@ -6,7 +6,19 @@
 #   2. Bench smoke: every benchmark binary runs one quick iteration, so a
 #      bench that only compiles but crashes at runtime (bad flag plumbing,
 #      tier-up in a fresh engine, ...) fails the gate instead of rotting.
-#   3. ASan fault matrix: the ExecGuard and FaultInjection suites under
+#   3. Serve threshold tiering: `pgmpi serve` replays a trace whose hot
+#      class flips mid-stream; the gate asserts it exits 0, stores a
+#      non-empty merged profile and tiers up at least two closures by
+#      invocation count.
+#   4. Bounded-memory soak: `pgmpi serve` (boundary reclamation on by
+#      default) replays the same trace once and 64x-repeated; peak RSS
+#      of the long run must plateau instead of scaling with the request
+#      count.
+#   5. End-to-end benchmark smoke: `pgmpbench/run.py --smoke` builds the
+#      pgmpbench binary from this tree and runs every workload at smoke
+#      size with its result oracle, the per-layer repeatability check
+#      and the oracle self-test.
+#   6. ASan fault matrix: the ExecGuard and FaultInjection suites under
 #      AddressSanitizer — every injected fault and guard trip must unwind
 #      without leaking or corrupting the engine, which only ASan can
 #      actually prove. The same stage runs the Heap and Reclaim suites,
@@ -14,22 +26,10 @@
 #      -fsanitize=address (in build-asan-e2e/): a store that skips the
 #      generational write barrier leaves a tenured object pointing into a
 #      freed nursery chunk, and ASan faults where a real workload reads it.
-#   4. TSan build + the concurrency tests (ParallelProfile, ShardedCounterStore,
+#   7. TSan build + the concurrency tests (ParallelProfile, ShardedCounterStore,
 #      ProfileSnapshot, Heap) — the sharded counter runtime and the
 #      per-engine arena heaps must be provably race-free, not just
 #      pass-by-luck.
-#   5. Serve threshold tiering: `pgmpi serve` replays a trace whose hot
-#      class flips mid-stream; the gate asserts it exits 0, stores a
-#      non-empty merged profile and tiers up at least two closures by
-#      invocation count.
-#   6. End-to-end benchmark smoke: `pgmpbench/run.py --smoke` builds the
-#      pgmpbench binary from this tree and runs every workload at smoke
-#      size with its result oracle, the per-layer repeatability check
-#      and the oracle self-test.
-#   7. Bounded-memory soak: `pgmpi serve` (boundary reclamation on by
-#      default) replays the same trace once and 64x-repeated; peak RSS
-#      of the long run must plateau instead of scaling with the request
-#      count.
 #
 # Usage: scripts/tier1.sh [--skip-tsan] [--skip-asan]
 #

@@ -6,16 +6,36 @@
 
 using namespace pgmp;
 
+ProfileDatabase::ProfileDatabase()
+    : Data(std::make_shared<ProfileSnapshotData>()) {}
+
 ProfileDatabase::ProfileDatabase(const ProfileDatabase &Other)
-    : Entries(Other.Entries), NumDatasets(Other.NumDatasets) {}
+    : Data(Other.share()), Shared(true) {}
 
 ProfileDatabase &ProfileDatabase::operator=(const ProfileDatabase &Other) {
   if (this == &Other)
     return *this;
-  Entries = Other.Entries;
-  NumDatasets = Other.NumDatasets;
-  ++Version; // the old snapshot cache no longer reflects this state
+  std::shared_ptr<ProfileSnapshotData> D = Other.share();
+  std::lock_guard<std::mutex> Lock(SnapMu);
+  Data = std::move(D);
+  Shared = true;
   return *this;
+}
+
+std::shared_ptr<ProfileSnapshotData> ProfileDatabase::share() const {
+  std::lock_guard<std::mutex> Lock(SnapMu);
+  Shared = true;
+  return Data;
+}
+
+ProfileSnapshotData &ProfileDatabase::writable() {
+  if (Shared) {
+    auto Clone = std::make_shared<ProfileSnapshotData>(*Data);
+    std::lock_guard<std::mutex> Lock(SnapMu);
+    Data = std::move(Clone);
+    Shared = false;
+  }
+  return *Data;
 }
 
 void ProfileDatabase::addDataset(const CounterRows &Rows) {
@@ -24,13 +44,13 @@ void ProfileDatabase::addDataset(const CounterRows &Rows) {
     Max = std::max(Max, Count);
   if (Max == 0)
     return;
+  ProfileSnapshotData &D = writable();
   for (const auto &[Src, Count] : Rows) {
-    Entry &E = Entries[Src];
+    Entry &E = D.Entries[Src];
     E.WeightSum += static_cast<double>(Count) / static_cast<double>(Max);
     E.TotalCount += Count;
   }
-  ++NumDatasets;
-  ++Version;
+  ++D.NumDatasets;
 }
 
 void ProfileDatabase::addDataset(const CounterStore &Counters) {
@@ -42,46 +62,38 @@ void ProfileDatabase::addDataset(const ShardedCounterStore &Counters) {
 }
 
 ProfileSnapshot ProfileDatabase::snapshot() const {
-  std::lock_guard<std::mutex> Lock(SnapMu);
-  if (!Cache || CacheVersion != Version) {
-    auto Data = std::make_shared<ProfileSnapshotData>();
-    Data->Entries = Entries;
-    Data->NumDatasets = NumDatasets;
-    Cache = std::move(Data);
-    CacheVersion = Version;
-  }
-  return ProfileSnapshot(Cache);
+  return ProfileSnapshot(share());
 }
 
 std::optional<double> ProfileDatabase::weight(const SourceObject *Src) const {
-  if (NumDatasets == 0)
+  if (Data->NumDatasets == 0)
     return std::nullopt;
-  auto It = Entries.find(Src);
-  if (It == Entries.end())
+  auto It = Data->Entries.find(Src);
+  if (It == Data->Entries.end())
     return 0.0;
-  return It->second.WeightSum / static_cast<double>(NumDatasets);
+  return It->second.WeightSum / static_cast<double>(Data->NumDatasets);
 }
 
 void ProfileDatabase::clear() {
-  Entries.clear();
-  NumDatasets = 0;
-  ++Version;
+  auto Empty = std::make_shared<ProfileSnapshotData>();
+  std::lock_guard<std::mutex> Lock(SnapMu);
+  Data = std::move(Empty);
+  Shared = false;
 }
 
 bool ProfileDatabase::mergeEntry(const SourceObject *Src, const Entry &E) {
-  auto [It, Inserted] = Entries.try_emplace(Src);
+  auto [It, Inserted] = writable().Entries.try_emplace(Src);
   It->second.WeightSum += E.WeightSum;
   It->second.TotalCount += E.TotalCount;
-  ++Version;
   return Inserted;
 }
 
 void ProfileDatabase::merge(ProfileDatabase &&Other) {
-  NumDatasets += Other.NumDatasets;
-  if (Entries.empty())
-    Entries = std::move(Other.Entries);
+  ProfileSnapshotData &D = writable();
+  D.NumDatasets += Other.numDatasets();
+  if (D.Entries.empty())
+    D.Entries = std::move(Other.writable().Entries);
   else
-    for (const auto &[Src, E] : Other.Entries)
+    for (const auto &[Src, E] : Other.entries())
       mergeEntry(Src, E);
-  ++Version;
 }

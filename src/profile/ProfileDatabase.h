@@ -8,13 +8,16 @@
 /// running weight sum plus the number of data sets merged so far.
 ///
 /// Reads go through ProfileSnapshot (snapshot()), an immutable shareable
-/// view that is safe to query from any thread; snapshots are cached per
-/// database version, so taking one is O(1) until the next mutation.
-/// Mutations (addDataset / mergeEntry / clear) are synchronized against
-/// snapshot() but not against each other — one writer at a time, which is
-/// how the engine uses it (EnginePool merges worker data sets from the
-/// coordinating thread, in worker order, so the Figure-3 weighted-average
-/// merge stays bit-identical to a sequential run).
+/// view that is safe to query from any thread. The database keeps its
+/// state in the very data a snapshot shares, copy-on-write: snapshot() is
+/// O(1) and copies nothing, and the first mutation after a snapshot (or
+/// after copying the database, which shares the state the same way)
+/// clones the state. snapshot() may be called from several threads at
+/// once, but not during a mutation; mutations (addDataset / mergeEntry /
+/// merge / clear) run one at a time, which is how the engine uses it
+/// (EnginePool merges worker data sets from the coordinating thread, in
+/// worker order, so the Figure-3 weighted-average merge stays
+/// bit-identical to a sequential run).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +46,7 @@ public:
   /// point table before folding).
   using CounterRows = std::vector<std::pair<const SourceObject *, uint64_t>>;
 
-  ProfileDatabase() = default;
+  ProfileDatabase();
   ProfileDatabase(const ProfileDatabase &Other);
   ProfileDatabase &operator=(const ProfileDatabase &Other);
 
@@ -56,8 +59,9 @@ public:
   void addDataset(const CounterStore &Counters);
   void addDataset(const ShardedCounterStore &Counters);
 
-  /// An immutable view of the current state; see ProfileSnapshot. Cached:
-  /// repeated calls between mutations share one backing copy.
+  /// An immutable view of the current state; see ProfileSnapshot. Shares
+  /// the database's own state: calls between mutations, and entries(),
+  /// see one map.
   ProfileSnapshot snapshot() const;
 
   /// Weight of \p Src averaged over all data sets. Points never seen get
@@ -66,10 +70,10 @@ public:
   std::optional<double> weight(const SourceObject *Src) const;
 
   /// True once at least one data set is present.
-  bool hasData() const { return NumDatasets > 0; }
+  bool hasData() const { return Data->NumDatasets > 0; }
 
-  uint64_t numDatasets() const { return NumDatasets; }
-  size_t numPoints() const { return Entries.size(); }
+  uint64_t numDatasets() const { return Data->NumDatasets; }
+  size_t numPoints() const { return Data->Entries.size(); }
   void clear();
 
   /// Per-point persisted state (see ProfileSnapshot.h; the alias keeps
@@ -83,26 +87,23 @@ public:
   /// Folds all of \p Other (data sets and entries) into this database;
   /// an empty database adopts Other's entries without re-inserting them.
   void merge(ProfileDatabase &&Other);
-  void mergeDatasetCount(uint64_t N) {
-    NumDatasets += N;
-    ++Version;
-  }
+  void mergeDatasetCount(uint64_t N) { writable().NumDatasets += N; }
 
   const std::unordered_map<const SourceObject *, Entry> &entries() const {
-    return Entries;
+    return Data->Entries;
   }
 
 private:
-  std::unordered_map<const SourceObject *, Entry> Entries;
-  uint64_t NumDatasets = 0;
+  /// Hands out Data, marking it shared (snapshot() and copies).
+  std::shared_ptr<ProfileSnapshotData> share() const;
+  /// Data, ready to be written: cloned first when it was handed out.
+  ProfileSnapshotData &writable();
 
-  /// Snapshot cache: rebuilt lazily when Version has moved past
-  /// CacheVersion. Guarded by SnapMu so concurrent readers can take
-  /// snapshots while agreeing on one shared backing copy.
-  uint64_t Version = 1;
+  std::shared_ptr<ProfileSnapshotData> Data; ///< never null
+  /// Data was handed out since the last clone: the next write clones it.
+  mutable bool Shared = false;
+  /// Guards Data and Shared between snapshot() calls and the clone.
   mutable std::mutex SnapMu;
-  mutable std::shared_ptr<const ProfileSnapshotData> Cache;
-  mutable uint64_t CacheVersion = 0;
 };
 
 } // namespace pgmp

@@ -11,12 +11,11 @@
 ///   S.weightOpt(pt);  // nullopt when no data / unknown point (profile-query*)
 ///   S.count(pt);      // raw total hit count; 0 when unknown
 ///
-/// A snapshot is a point-in-time copy: queries against it are stable even
+/// A snapshot is a point-in-time view: queries against it are stable even
 /// while the underlying database keeps merging data sets, and — because
-/// the backing data is immutable and shared — snapshots are cheap to
-/// copy, safe to hand to other threads, and O(1) to take when the
-/// database has not changed since the last one (the database caches the
-/// backing data per version).
+/// the backing data is shared and never written while a snapshot holds it
+/// — snapshots are cheap to copy, safe to hand to other threads, and O(1)
+/// to take (the database's own state is the backing data, copy-on-write).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +38,8 @@ struct ProfileEntry {
   uint64_t TotalCount = 0;
 };
 
-/// The immutable backing data of one snapshot.
+/// The backing data of a snapshot, and the database's own state: a
+/// ProfileDatabase writes it only while no snapshot shares it.
 struct ProfileSnapshotData {
   std::unordered_map<const SourceObject *, ProfileEntry> Entries;
   uint64_t NumDatasets = 0;

@@ -7,10 +7,9 @@
 /// explicitly, and whole pipeline phases (reader, expander, template
 /// instantiation) set an ambient site with AllocSiteScope so everything
 /// they allocate is attributed without threading a parameter through
-/// every helper. The profile — objects, bytes, survivors per site — is
-/// what the reclamation policy (Heap::selectReclaimPolicy) acts on:
-/// pre-tenuring high-survival sites, co-locating heavy survivor sites
-/// into shared tenured chunks, and sizing the nursery.
+/// every helper. The profile — objects, bytes, survivors per site — is an
+/// observation: `pgmpi report --alloc` and the alloc-site-* stats rows
+/// print it, and no heap decision reads it.
 ///
 /// Sites are a closed enum, not interned strings: the per-allocation cost
 /// must stay at a couple of indexed adds, and a closed set merges across
@@ -72,17 +71,13 @@ inline constexpr size_t NumAllocSites = []() constexpr {
 const char *allocSiteName(AllocSite S);
 
 /// Always-on per-site allocation profile. Survivors count objects that
-/// outlived a region reclamation (evacuated to, or allocated directly
-/// in, the tenured generation); the effective survival rate that drives
-/// pre-tenuring is (Survived + TenuredAllocs) / Objects, so a site keeps
-/// its "hot" standing once the policy routes it straight to tenured.
+/// outlived a region reclamation (evacuated to the tenured generation),
+/// each once, so Survived <= Objects.
 struct AllocSiteStats {
   uint64_t Objects = 0;       ///< allocations attributed to the site
   uint64_t Bytes = 0;         ///< rounded bytes of those allocations
   uint64_t Survived = 0;      ///< objects evacuated out of the nursery
   uint64_t SurvivedBytes = 0; ///< bytes of evacuated objects
-  uint64_t TenuredAllocs = 0; ///< pre-tenured allocations (policy-routed)
-  uint64_t TenuredAllocBytes = 0;
   uint32_t Kinds = 0; ///< bitmask of ValueKind values seen at the site
 
   void merge(const AllocSiteStats &O) {
@@ -90,8 +85,6 @@ struct AllocSiteStats {
     Bytes += O.Bytes;
     Survived += O.Survived;
     SurvivedBytes += O.SurvivedBytes;
-    TenuredAllocs += O.TenuredAllocs;
-    TenuredAllocBytes += O.TenuredAllocBytes;
     Kinds |= O.Kinds;
   }
 };

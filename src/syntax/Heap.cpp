@@ -40,8 +40,7 @@ void *Heap::allocateSlow(size_t Bytes) {
   // Resource governance rides the cold path only: both checks run before
   // any state mutates, so a trip leaves the heap fully consistent — the
   // current chunk's tail keeps serving small allocations afterward.
-  const size_t CS = Policy.NurseryChunkBytes;
-  size_t ChunkNeed = Bytes > CS ? Bytes : CS;
+  size_t ChunkNeed = Bytes > ChunkBytes ? Bytes : ChunkBytes;
   if (faultinject::shouldFail(faultinject::Point::Alloc))
     raiseGuardTrip(GuardKind::Heap,
                    "injected allocation failure (chunk of " +
@@ -53,92 +52,46 @@ void *Heap::allocateSlow(size_t Bytes) {
                        std::to_string(Stats.BytesReserved) +
                        " reserved, next chunk needs " +
                        std::to_string(ChunkNeed) + ")");
+  return acquireChunk(Nursery, Cur, End, Bytes);
+}
+
+void *Heap::acquireChunk(std::vector<Chunk> &Gen, char *&BumpCur,
+                         char *&BumpEnd, size_t Bytes) {
+  const size_t Size = Bytes > ChunkBytes ? Bytes : ChunkBytes;
   ++Stats.ChunksAcquired;
-  Stats.BytesReserved += ChunkNeed;
+  Stats.BytesReserved += Size;
   Stats.PeakBytesReserved =
       std::max(Stats.PeakBytesReserved, Stats.BytesReserved);
-  if (Bytes > CS) {
+  Gen.push_back({std::make_unique<char[]>(Size), Size});
+  char *Base = Gen.back().Mem.get();
+  if (Bytes > ChunkBytes) {
     // Oversize (e.g. a frame with thousands of slots): dedicated chunk of
     // exactly the requested size; the current bump chunk keeps its tail.
     ++Stats.OversizeChunks;
-    Nursery.push_back({std::make_unique<char[]>(Bytes), Bytes});
-    return Nursery.back().Mem.get();
+    return Base;
   }
-  Nursery.push_back({std::make_unique<char[]>(CS), CS});
-  char *Base = Nursery.back().Mem.get();
-  Cur = Base + Bytes;
-  End = Base + CS;
+  BumpCur = Base + Bytes;
+  BumpEnd = Base + ChunkBytes;
   return Base;
 }
 
-void *Heap::acquireTenuredChunk(size_t Bytes, bool Hot) {
-  ++Stats.ChunksAcquired;
-  if (Bytes > ChunkBytes) {
-    ++Stats.OversizeChunks;
-    Stats.BytesReserved += Bytes;
-    Stats.PeakBytesReserved =
-        std::max(Stats.PeakBytesReserved, Stats.BytesReserved);
-    Tenured.push_back({std::make_unique<char[]>(Bytes), Bytes});
-    return Tenured.back().Mem.get();
-  }
-  Stats.BytesReserved += ChunkBytes;
-  Stats.PeakBytesReserved =
-      std::max(Stats.PeakBytesReserved, Stats.BytesReserved);
-  Tenured.push_back({std::make_unique<char[]>(ChunkBytes), ChunkBytes});
-  char *Base = Tenured.back().Mem.get();
-  char *&C = Hot ? HotCur : TenCur;
-  char *&E = Hot ? HotEnd : TenEnd;
-  C = Base + Bytes;
-  E = Base + ChunkBytes;
-  return Base;
-}
-
-void *Heap::allocateTenured(size_t Bytes, AllocSite S) {
-  // Mutator path for pre-tenured sites: same guard semantics as
-  // allocateSlow (fault injection and the reserved-bytes cap fire before
-  // any state mutates).
-  const bool Hot = Policy.HotSite[static_cast<size_t>(S)];
-  char *&C = Hot ? HotCur : TenCur;
-  char *&E = Hot ? HotEnd : TenEnd;
-  if (Bytes <= static_cast<size_t>(E - C)) {
-    void *P = C;
-    C += Bytes;
-    return P;
-  }
-  size_t ChunkNeed = Bytes > ChunkBytes ? Bytes : ChunkBytes;
-  if (faultinject::shouldFail(faultinject::Point::Alloc))
-    raiseGuardTrip(GuardKind::Heap,
-                   "injected allocation failure (tenured chunk of " +
-                       std::to_string(ChunkNeed) + " bytes)");
-  if (LimitBytes && Stats.BytesReserved + ChunkNeed > LimitBytes)
-    raiseGuardTrip(GuardKind::Heap,
-                   "heap limit of " + std::to_string(LimitBytes) +
-                       " bytes reached (" +
-                       std::to_string(Stats.BytesReserved) +
-                       " reserved, next tenured chunk needs " +
-                       std::to_string(ChunkNeed) + ")");
-  return acquireTenuredChunk(Bytes, Hot);
-}
-
-void *Heap::allocateForEvac(size_t Bytes, bool Hot) {
+void *Heap::allocateForEvac(size_t Bytes) {
   // Collector path: never raises. An injected fault degrades the cycle
   // (EvacFailed) instead of unwinding out of a half-forwarded graph; the
   // reserved-bytes cap is not enforced because the cycle as a whole
   // releases memory.
   if (EvacFailed)
     return nullptr;
-  char *&C = Hot ? HotCur : TenCur;
-  char *&E = Hot ? HotEnd : TenEnd;
-  if (Bytes <= static_cast<size_t>(E - C)) {
-    void *P = C;
-    C += Bytes;
+  if (Bytes <= static_cast<size_t>(TenEnd - TenCur)) {
+    void *P = TenCur;
+    TenCur += Bytes;
     return P;
   }
   if (faultinject::shouldFail(faultinject::Point::Alloc)) {
     EvacFailed = true;
     return nullptr;
   }
-  return acquireTenuredChunk(Bytes, Hot);
+  return acquireChunk(Tenured, TenCur, TenEnd, Bytes);
 }
 
 //===----------------------------------------------------------------------===//
@@ -158,18 +111,18 @@ bool Heap::inFromSpace(const void *P) const {
 }
 
 template <typename T>
-Obj *Heap::relocateObj(T *Old, bool Hot, bool FirstPromo) {
+Obj *Heap::relocateObj(T *Old, bool FirstPromo) {
   size_t Bytes;
   T *Copy;
   if constexpr (std::is_trivially_destructible_v<T>) {
     Bytes = roundUp(sizeof(T));
-    void *Mem = allocateForEvac(Bytes, Hot);
+    void *Mem = allocateForEvac(Bytes);
     if (!Mem)
       return nullptr;
     Copy = new (Mem) T(std::move(*Old));
   } else {
     Bytes = roundUp(sizeof(DtorNode) + sizeof(T));
-    auto *N = static_cast<DtorNode *>(allocateForEvac(Bytes, Hot));
+    auto *N = static_cast<DtorNode *>(allocateForEvac(Bytes));
     if (!N)
       return nullptr;
     Copy = new (N + 1) T(std::move(*Old));
@@ -180,6 +133,10 @@ Obj *Heap::relocateObj(T *Old, bool Hot, bool FirstPromo) {
     // (cheaply, it is empty) when the region is dropped — every
     // destructible object still runs its destructor exactly once.
   }
+  return noteEvacuated(Copy, Bytes, FirstPromo);
+}
+
+Obj *Heap::noteEvacuated(Obj *Copy, size_t Bytes, bool FirstPromo) {
   ++CycleEvacObjects;
   CycleEvacBytes += Bytes;
   if (FirstPromo) {
@@ -191,34 +148,32 @@ Obj *Heap::relocateObj(T *Old, bool Hot, bool FirstPromo) {
 }
 
 Obj *Heap::evacuate(Obj *O) {
-  const bool Hot = Policy.HotSite[O->Site];
   // First promotion out of the nursery earns the site's Survived credit;
   // a re-evacuation during a major (an old object) already counted, or
-  // survival rates would inflate past 100% and drive spurious
-  // pre-tenuring.
+  // survival rates would inflate past 100%.
   const bool First = !(O->GcFlags & Obj::GcOld);
   switch (O->Kind) {
   case ValueKind::Pair:
-    return relocateObj(static_cast<Pair *>(O), Hot, First);
+    return relocateObj(static_cast<Pair *>(O), First);
   case ValueKind::String:
-    return relocateObj(static_cast<StringObj *>(O), Hot, First);
+    return relocateObj(static_cast<StringObj *>(O), First);
   case ValueKind::Vector:
-    return relocateObj(static_cast<VectorObj *>(O), Hot, First);
+    return relocateObj(static_cast<VectorObj *>(O), First);
   case ValueKind::Hash:
-    return relocateObj(static_cast<HashTable *>(O), Hot, First);
+    return relocateObj(static_cast<HashTable *>(O), First);
   case ValueKind::Closure:
-    return relocateObj(static_cast<Closure *>(O), Hot, First);
+    return relocateObj(static_cast<Closure *>(O), First);
   case ValueKind::Primitive:
-    return relocateObj(static_cast<Primitive *>(O), Hot, First);
+    return relocateObj(static_cast<Primitive *>(O), First);
   case ValueKind::Syntax:
-    return relocateObj(static_cast<Syntax *>(O), Hot, First);
+    return relocateObj(static_cast<Syntax *>(O), First);
   case ValueKind::Box:
-    return relocateObj(static_cast<Box *>(O), Hot, First);
+    return relocateObj(static_cast<Box *>(O), First);
   case ValueKind::Env: {
     // Variable-size: header plus inline slots in one copy.
     auto *E = static_cast<EnvObj *>(O);
     size_t Bytes = roundUp(sizeof(EnvObj) + E->NumSlots * sizeof(Value));
-    void *Mem = allocateForEvac(Bytes, Hot);
+    void *Mem = allocateForEvac(Bytes);
     if (!Mem)
       return nullptr;
     EnvObj *Copy = new (Mem) EnvObj(E->Parent, E->NumSlots);
@@ -227,14 +182,7 @@ Obj *Heap::evacuate(Obj *O) {
     Value *Dst = Copy->slots();
     for (uint32_t I = 0; I < E->NumSlots; ++I)
       new (Dst + I) Value(Src[I]);
-    ++CycleEvacObjects;
-    CycleEvacBytes += Bytes;
-    if (First) {
-      AllocSiteStats &SS = Sites[Copy->Site];
-      ++SS.Survived;
-      SS.SurvivedBytes += Bytes;
-    }
-    return Copy;
+    return noteEvacuated(Copy, Bytes, First);
   }
   default: {
     // A kind whose layout lives outside syntax/ (VmClosure): relocate
@@ -242,18 +190,11 @@ Obj *Heap::evacuate(Obj *O) {
     const ExternalKindOps &Ops = ExternalKinds[static_cast<size_t>(O->Kind)];
     assert(Ops.Relocate && "unregistered external heap kind in collect()");
     size_t Bytes = roundUp(Ops.Size);
-    void *Mem = allocateForEvac(Bytes, Hot);
+    void *Mem = allocateForEvac(Bytes);
     if (!Mem)
       return nullptr;
     Obj *Copy = Ops.Relocate(Mem, O);
-    ++CycleEvacObjects;
-    CycleEvacBytes += Bytes;
-    if (First) {
-      AllocSiteStats &SS = Sites[Copy->Site];
-      ++SS.Survived;
-      SS.SurvivedBytes += Bytes;
-    }
-    return Copy;
+    return noteEvacuated(Copy, Bytes, First);
   }
   }
 }
@@ -261,19 +202,11 @@ Obj *Heap::evacuate(Obj *O) {
 Obj *Heap::forwardObj(Obj *O) {
   if (!O)
     return nullptr;
-  if (!inFromSpace(O)) {
-    // Not moving this cycle: a tenured object during a minor, or a
-    // table-owned Symbol. Of these only a fresh pre-tenured object can
-    // hold nursery pointers nobody else scans (stored-into old objects
-    // are on the remembered list), so it is scanned once, on first
-    // contact. Deliberately not listed at allocation: a dead pre-tenured
-    // frame would then keep its nursery children alive.
-    if (O->GcFlags & Obj::GcFresh) {
-      O->GcFlags &= ~Obj::GcFresh;
-      Worklist.push_back(O);
-    }
+  // Not moving this cycle: a tenured object during a minor, or a
+  // table-owned Symbol. A tenured object that holds nursery pointers was
+  // stored into, so the remembered list scans it.
+  if (!inFromSpace(O))
     return O;
-  }
   auto It = Forwarded.find(O);
   if (It != Forwarded.end())
     return It->second;
@@ -346,11 +279,6 @@ Heap::ReclaimResult Heap::collect(const RootEnumerator &Roots,
       ForceMajor ||
       (TenuredBytes >= std::max<uint64_t>(4 * ChunkBytes,
                                           2 * TenuredBytesAtLastMajor));
-  // Record this region's allocation volume before it is reset — the
-  // nursery-sizing EWMA the policy reads.
-  EwmaRegionBytes = EwmaRegionBytes
-                        ? (3 * EwmaRegionBytes + NurseryBytes) / 4
-                        : NurseryBytes;
 
   Stats.ObjectsRemembered += Remembered.size();
   if (Major) {
@@ -358,8 +286,8 @@ Heap::ReclaimResult Heap::collect(const RootEnumerator &Roots,
     // exactly GcOld, so the remembered list has nothing to add.
     Remembered.clear();
     // Widen from-space to the whole heap: every tenured chunk becomes
-    // collectible, so dead pre-tenured objects and stale evacuees from
-    // earlier cycles are dropped too. Live tenured objects re-evacuate
+    // collectible, so evacuees of earlier cycles that died since are
+    // dropped too. Live tenured objects re-evacuate
     // into fresh chunks exactly like nursery survivors — without
     // re-earning Survived credit (see evacuate).
     for (Chunk &C : Tenured)
@@ -373,7 +301,7 @@ Heap::ReclaimResult Heap::collect(const RootEnumerator &Roots,
       NurseryDtorHead = TenuredDtorHead;
       TenuredDtorHead = nullptr;
     }
-    TenCur = TenEnd = HotCur = HotEnd = nullptr;
+    TenCur = TenEnd = nullptr;
     NurseryBytes += TenuredBytes;
     TenuredBytes = 0;
   }
@@ -466,53 +394,7 @@ Heap::ReclaimResult Heap::collect(const RootEnumerator &Roots,
   InCollect = false;
   Forwarded.clear();
   FromRanges.clear();
-
-  // Self-scheduled policy refresh from the site profile seen so far.
-  if (++CollectsSinceSelect >= PolicySelectInterval) {
-    CollectsSinceSelect = 0;
-    selectReclaimPolicy();
-  }
   return R;
-}
-
-bool Heap::selectReclaimPolicy() {
-  ReclaimPolicy P;
-  P.Epoch = Policy.Epoch;
-  // Nursery sizing: aim for roughly eight chunks per region at the
-  // observed volume, power-of-two stepped, bounded to [1, 16] chunks.
-  if (EwmaRegionBytes) {
-    size_t Target = static_cast<size_t>(EwmaRegionBytes / 8);
-    size_t Sz = ChunkBytes;
-    while (Sz < Target && Sz < 16 * ChunkBytes)
-      Sz *= 2;
-    P.NurseryChunkBytes = Sz;
-  }
-  uint64_t TotalRetainedBytes = 0;
-  for (const AllocSiteStats &SS : Sites)
-    TotalRetainedBytes += SS.SurvivedBytes + SS.TenuredAllocBytes;
-  for (size_t I = 0; I < NumAllocSites; ++I) {
-    const AllocSiteStats &SS = Sites[I];
-    if (SS.Objects < 512)
-      continue; // too little signal to act on
-    // Pre-tenure when at least half the site's objects outlive their
-    // region: the nursery round-trip (copy + forwarding) is wasted work.
-    // TenuredAllocs count as retained so the site keeps its standing
-    // after the policy reroutes it (its objects stop being "survivors").
-    const uint64_t Retained = SS.Survived + SS.TenuredAllocs;
-    P.PreTenure[I] = Retained * 2 >= SS.Objects;
-    // Co-locate sites carrying a dominant share (>= 1/8) of all retained
-    // bytes into the dedicated hot tenured stream.
-    const uint64_t SiteBytes = SS.SurvivedBytes + SS.TenuredAllocBytes;
-    P.HotSite[I] = TotalRetainedBytes != 0 &&
-                   SiteBytes * 8 >= TotalRetainedBytes && SiteBytes != 0;
-  }
-  const bool Changed = P.NurseryChunkBytes != Policy.NurseryChunkBytes ||
-                       P.PreTenure != Policy.PreTenure ||
-                       P.HotSite != Policy.HotSite;
-  if (Changed)
-    P.Epoch = Policy.Epoch + 1;
-  Policy = P;
-  return Changed;
 }
 
 uint64_t Heap::numObjects() const {
@@ -538,11 +420,9 @@ void Heap::appendStats(
   Out.emplace_back("heap-bytes-reclaimed", Stats.BytesReclaimed);
   Out.emplace_back("heap-objects-evacuated", Stats.ObjectsEvacuated);
   Out.emplace_back("heap-bytes-evacuated", Stats.BytesEvacuated);
-  Out.emplace_back("heap-objects-pre-tenured", Stats.PreTenuredObjects);
   Out.emplace_back("heap-reclaim-aborts", Stats.ReclaimAborts);
   Out.emplace_back("heap-objects-scanned", Stats.ObjectsScanned);
   Out.emplace_back("heap-objects-remembered", Stats.ObjectsRemembered);
-  Out.emplace_back("heap-reclaim-policy-epoch", Policy.Epoch);
   Out.emplace_back("heap-objects", numObjects());
   for (size_t K = 0; K < NumValueKinds; ++K)
     if (Stats.ObjectsByKind[K])
@@ -557,8 +437,8 @@ void Heap::appendStats(
         std::string("alloc-site-") + allocSiteName(static_cast<AllocSite>(I));
     Out.emplace_back(Base, SS.Objects);
     Out.emplace_back(Base + "-bytes", SS.Bytes);
-    if (SS.Survived + SS.TenuredAllocs)
-      Out.emplace_back(Base + "-retained", SS.Survived + SS.TenuredAllocs);
+    if (SS.Survived)
+      Out.emplace_back(Base + "-retained", SS.Survived);
   }
 }
 

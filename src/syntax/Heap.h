@@ -20,32 +20,29 @@
 /// traced roots (globals, retained code, the tier cache), which the
 /// collector rewrites.
 ///
-/// Generations and the write barrier. Every collection leaves the nursery
-/// empty, so a tenured object can point into the nursery only through a
-/// store made since the last collection, or because it was itself
-/// pre-tenured since then. A minor collection therefore visits the roots,
-/// the *remembered* tenured objects (stored into since the last
-/// collection), the *fresh* pre-tenured objects it reaches, and the
-/// nursery survivors; it never descends into the rest of the old
-/// generation. Three Obj::GcFlags bits carry this: GcOld (lives in a
-/// tenured chunk), GcRemembered (on the remembered list) and GcFresh
-/// (pre-tenured since the last collection). A major collection traces
-/// everything reachable and drops the list.
+/// Generations and the write barrier. Every allocation lands in the
+/// nursery and every collection leaves the nursery empty, so a tenured
+/// object can point into the nursery only through a store made since the
+/// last collection. A minor collection therefore visits the roots, the
+/// *remembered* tenured objects (stored into since the last collection)
+/// and the nursery survivors; it never descends into the rest of the old
+/// generation. Two Obj::GcFlags bits carry this: GcOld (lives in a
+/// tenured chunk) and GcRemembered (on the remembered list). A major
+/// collection traces everything reachable and drops the list.
 ///
 /// The rule for mutators: call Heap::noteWrite(Obj) before storing a
 /// Value into an existing heap object. The barrier sites are set-car!,
 /// set-cdr!, set-box!, vector-set!, vector-fill!, hashtable-set!,
 /// hashtable-update!, the interpreter's SetLocal and the VM's SetLocal
 /// through the frame chain. A store into an object allocated during the
-/// current run needs none (it is young, or fresh and so scanned whole),
-/// which is why frame construction and the VM's depth-0 SetLocal skip it.
+/// current run needs none (it is young), which is why frame construction
+/// and the VM's depth-0 SetLocal skip it.
 ///
 /// Every allocation is attributed to an AllocSite (AllocSite.h) at the
 /// cost of a couple of indexed adds; the resulting site profile —
-/// objects, bytes, survival — drives the ReclaimPolicy: high-survival
-/// sites allocate straight into tenured chunks (pre-tenuring), heavy
-/// survivor sites co-locate into a shared "hot" tenured stream, and the
-/// nursery chunk size tracks the observed per-region allocation volume.
+/// objects, bytes, survival — is reported (`pgmpi report --alloc`, the
+/// alloc-site-* stats rows), not acted on: nursery chunks have one size
+/// and survivors share one tenured bump stream.
 ///
 /// Obj carries no vtable: the Kind byte is the only discriminator, and
 /// teardown runs through a side list that records just the objects whose
@@ -107,9 +104,6 @@ public:
   static constexpr uint8_t GcOld = 1;
   /// The object is on the heap's remembered list.
   static constexpr uint8_t GcRemembered = 2;
-  /// Pre-tenured since the last collection: the next collection that
-  /// reaches it scans it once.
-  static constexpr uint8_t GcFresh = 4;
 
   ValueKind Kind;
   uint8_t GcFlags = 0;
@@ -295,8 +289,8 @@ private:
 /// each own their Heap; nothing is shared).
 class Heap {
 public:
-  /// Geometry of a normal chunk. Allocations larger than the active
-  /// chunk size get a dedicated oversize chunk of exactly their size.
+  /// Geometry of a normal chunk. Larger allocations get a dedicated
+  /// oversize chunk of exactly their size.
   static constexpr size_t ChunkBytes = 64 * 1024;
 
   /// Always-on allocation counters (a handful of adds per allocation;
@@ -318,7 +312,9 @@ public:
     uint64_t BytesReclaimed = 0;    ///< dead nursery bytes dropped, cumulative
     uint64_t ObjectsEvacuated = 0;  ///< survivors copied to tenured chunks
     uint64_t BytesEvacuated = 0;    ///< bytes of those survivors
-    uint64_t PreTenuredObjects = 0; ///< allocations routed straight to tenured
+    /// Retired: always 0, read by pgmpbench; the next benchmark change
+    /// drops it.
+    uint64_t PreTenuredObjects = 0;
     uint64_t ReclaimAborts = 0;     ///< cycles degraded by an evac alloc fail
     uint64_t ObjectsScanned = 0;    ///< worklist pops plus remembered scans
     uint64_t ObjectsRemembered = 0; ///< objects the write barrier listed
@@ -335,25 +331,6 @@ public:
     /// cycle degraded to promoting every nursery chunk wholesale — no
     /// memory reclaimed, but the heap is fully consistent.
     bool Aborted = false;
-  };
-
-  /// The profile-selected reclamation policy. Default-constructed policy
-  /// is inert (no pre-tenuring, no co-location, stock nursery chunks), so
-  /// an engine that never selects one behaves exactly like the
-  /// pre-generational arena plus boundary reclamation.
-  struct ReclaimPolicy {
-    /// Chunk size for nursery chunks, sized from the observed per-region
-    /// allocation volume (bounded to [ChunkBytes, 16 * ChunkBytes]).
-    size_t NurseryChunkBytes = ChunkBytes;
-    /// Sites whose effective survival rate is high enough that nursery
-    /// round-trips are wasted work: allocate straight into tenured.
-    std::array<bool, NumAllocSites> PreTenure{};
-    /// Sites carrying a dominant share of survivor bytes: their tenured
-    /// allocations co-locate in a dedicated "hot" chunk stream, separate
-    /// from the cold evacuation stream.
-    std::array<bool, NumAllocSites> HotSite{};
-    /// Bumped every time a re-selection actually changes the policy.
-    uint64_t Epoch = 0;
   };
 
   /// Hooks for heap kinds whose layout lives outside syntax/ (VmClosure:
@@ -386,27 +363,21 @@ public:
                   "arena alignment is 8; over-aligned Obj subclass");
     if (S == AllocSite::Ambient)
       S = CurSite;
-    const bool Tenure = Policy.PreTenure[static_cast<size_t>(S)];
     T *O;
     size_t Bytes;
     if constexpr (std::is_trivially_destructible_v<T>) {
       Bytes = roundUp(sizeof(T));
-      void *P = Tenure ? allocateTenured(Bytes, S) : allocateRaw(Bytes);
-      O = new (P) T(std::forward<Args>(ArgList)...);
+      O = new (allocateRaw(Bytes)) T(std::forward<Args>(ArgList)...);
     } else {
       Bytes = roundUp(sizeof(DtorNode) + sizeof(T));
-      auto *N = static_cast<DtorNode *>(Tenure ? allocateTenured(Bytes, S)
-                                               : allocateRaw(Bytes));
+      auto *N = static_cast<DtorNode *>(allocateRaw(Bytes));
       O = new (N + 1) T(std::forward<Args>(ArgList)...);
       N->Destroy = [](void *P) { static_cast<T *>(P)->~T(); };
-      DtorNode *&Head = Tenure ? TenuredDtorHead : NurseryDtorHead;
-      N->Next = Head;
-      Head = N;
+      N->Next = NurseryDtorHead;
+      NurseryDtorHead = N;
     }
     O->Site = static_cast<uint16_t>(S);
-    if (Tenure)
-      O->GcFlags = Obj::GcOld | Obj::GcFresh;
-    noteObject(O->Kind, Bytes, S, Tenure);
+    noteObject(O->Kind, Bytes, S);
     return O;
   }
 
@@ -429,9 +400,8 @@ public:
     assert(NumArgs <= NumSlots && "more arguments than frame slots");
     if (S == AllocSite::Ambient)
       S = CurSite;
-    const bool Tenure = Policy.PreTenure[static_cast<size_t>(S)];
     size_t Bytes = roundUp(sizeof(EnvObj) + NumSlots * sizeof(Value));
-    void *P = Tenure ? allocateTenured(Bytes, S) : allocateRaw(Bytes);
+    void *P = allocateRaw(Bytes);
     EnvObj *E = new (P) EnvObj(Parent, static_cast<uint32_t>(NumSlots));
     Value *Slots = E->slots();
     for (size_t I = 0; I < NumArgs; ++I)
@@ -439,17 +409,15 @@ public:
     for (size_t I = NumArgs; I < NumSlots; ++I)
       new (Slots + I) Value();
     E->Site = static_cast<uint16_t>(S);
-    if (Tenure)
-      E->GcFlags = Obj::GcOld | Obj::GcFresh;
-    noteObject(ValueKind::Env, Bytes, S, Tenure);
+    noteObject(ValueKind::Env, Bytes, S);
     return E;
   }
 
   /// The generational write barrier: call before storing a Value into
   /// the existing object \p O. Lists a tenured object once per cycle, so
   /// the next minor collection scans it for nursery pointers. Young
-  /// objects need nothing, and fresh pre-tenured ones are scanned whole
-  /// when reached, so only flags of exactly GcOld take the slow path.
+  /// objects need nothing, so only flags of exactly GcOld take the slow
+  /// path.
   void noteWrite(Obj *O) {
     if (O->GcFlags == Obj::GcOld) {
       O->GcFlags = Obj::GcOld | Obj::GcRemembered;
@@ -490,14 +458,13 @@ public:
 
   /// Evacuates everything reachable from \p Roots out of the nursery into
   /// tenured chunks (pointer forwarding), then frees the nursery chunks.
-  /// A minor cycle reaches the nursery through the roots, the remembered
-  /// objects and the fresh pre-tenured ones only (see the file comment).
+  /// A minor cycle reaches the nursery through the roots and the
+  /// remembered objects only (see the file comment).
   /// Must only run at a quiescent point: no Value or Obj* may live on the
   /// C++ stack except through \p Roots. Escalates to a *major* cycle —
-  /// from-space widened to the tenured chunks too, so tenured garbage
-  /// (dead pre-tenured objects, stale evacuees) is also dropped — when
-  /// tenured bytes have doubled since the last major cycle, or when
-  /// \p ForceMajor is set.
+  /// from-space widened to the tenured chunks too, so evacuees that died
+  /// since are also dropped — when tenured bytes have doubled since the
+  /// last major cycle, or when \p ForceMajor is set.
   ReclaimResult collect(const RootEnumerator &Roots, bool ForceMajor = false);
 
   /// Registers relocate/trace hooks for a kind defined outside syntax/
@@ -506,15 +473,6 @@ public:
   void registerExternalKind(ValueKind K, ExternalKindOps Ops) {
     ExternalKinds[static_cast<size_t>(K)] = Ops;
   }
-
-  /// Re-derives the reclamation policy from the current site profiles.
-  /// Deterministic in the profile; bumps Policy.Epoch (and returns true)
-  /// only when the selection actually changed. Self-scheduled every
-  /// PolicySelectInterval collections.
-  bool selectReclaimPolicy();
-
-  const ReclaimPolicy &reclaimPolicy() const { return Policy; }
-  void setReclaimPolicy(const ReclaimPolicy &P) { Policy = P; }
 
   /// Caps the arena's reserved bytes (0 = unlimited). Enforced on chunk
   /// acquisition — so the bump fast path never pays for it; a breach
@@ -549,9 +507,6 @@ public:
   /// `pgmpi --stats` and (pgmp-stats) report the heap without the heap
   /// paying a stats-enabled branch per allocation.
   void appendStats(std::vector<std::pair<std::string, uint64_t>> &Out) const;
-
-  /// Collections between self-scheduled policy re-selections.
-  static constexpr uint64_t PolicySelectInterval = 64;
 
 private:
   friend class AllocSiteScope;
@@ -589,33 +544,24 @@ private:
 
   void *allocateSlow(size_t Bytes);
 
-  /// Mutator-side tenured allocation (pre-tenured sites). Same guard
-  /// semantics as allocateSlow on chunk acquisition.
-  void *allocateTenured(size_t Bytes, AllocSite S);
-
   /// Collector-side tenured allocation: never raises — an injected fault
   /// returns null and the cycle degrades (see collect()).
-  void *allocateForEvac(size_t Bytes, bool Hot);
+  void *allocateForEvac(size_t Bytes);
 
-  /// Grabs a fresh tenured chunk for the given stream (or a dedicated
-  /// oversize chunk, returned directly) without guard checks.
-  void *acquireTenuredChunk(size_t Bytes, bool Hot);
+  /// Appends a chunk for \p Bytes to \p Gen and accounts it. A normal
+  /// chunk becomes the generation's bump chunk; an oversize one (exactly
+  /// \p Bytes) leaves the bump chunk alone. No guard checks.
+  void *acquireChunk(std::vector<Chunk> &Gen, char *&BumpCur, char *&BumpEnd,
+                     size_t Bytes);
 
-  void noteObject(ValueKind K, size_t Bytes, AllocSite S, bool Tenured) {
+  void noteObject(ValueKind K, size_t Bytes, AllocSite S) {
     Stats.BytesAllocated += Bytes;
     ++Stats.ObjectsByKind[static_cast<size_t>(K)];
     AllocSiteStats &SS = Sites[static_cast<size_t>(S)];
     ++SS.Objects;
     SS.Bytes += Bytes;
     SS.Kinds |= 1u << static_cast<size_t>(K);
-    if (Tenured) {
-      ++SS.TenuredAllocs;
-      SS.TenuredAllocBytes += Bytes;
-      ++Stats.PreTenuredObjects;
-      TenuredBytes += Bytes;
-    } else {
-      NurseryBytes += Bytes;
-    }
+    NurseryBytes += Bytes;
   }
 
   //===--------------------------------------------------------------------===//
@@ -627,7 +573,9 @@ private:
   Obj *forwardObj(Obj *O);
   /// Copies \p O into tenured space; null when evacuation is degraded.
   Obj *evacuate(Obj *O);
-  template <typename T> Obj *relocateObj(T *Old, bool Hot, bool FirstPromo);
+  template <typename T> Obj *relocateObj(T *Old, bool FirstPromo);
+  /// Counts an evacuated copy; a first promotion earns its site's credit.
+  Obj *noteEvacuated(Obj *Copy, size_t Bytes, bool FirstPromo);
   /// Rewrites \p O's children through forwardObj.
   void scanObject(Obj *O, GcVisitor &V);
   /// True when \p P points into a from-space chunk this cycle (the
@@ -638,18 +586,13 @@ private:
   char *End = nullptr; ///< end of the current nursery chunk
   std::vector<Chunk> Nursery;
   std::vector<Chunk> Tenured;
-  /// Tenured bump streams: cold (evacuation default) and hot (co-located
-  /// survivor sites per ReclaimPolicy::HotSite).
-  char *TenCur = nullptr;
-  char *TenEnd = nullptr;
-  char *HotCur = nullptr;
-  char *HotEnd = nullptr;
+  char *TenCur = nullptr; ///< bump pointer into the current tenured chunk
+  char *TenEnd = nullptr; ///< end of the current tenured chunk
   DtorNode *NurseryDtorHead = nullptr;
   DtorNode *TenuredDtorHead = nullptr;
 
   AllocStats Stats;
   std::array<AllocSiteStats, NumAllocSites> Sites{};
-  ReclaimPolicy Policy;
   uint64_t LimitBytes = 0; ///< reserved-bytes cap; 0 = unlimited
 
   /// Bytes bump-allocated into the nursery since the last collection /
@@ -657,9 +600,6 @@ private:
   uint64_t NurseryBytes = 0;
   uint64_t TenuredBytes = 0;
   uint64_t TenuredBytesAtLastMajor = 0;
-  /// EWMA of per-region nursery allocation volume (nursery sizing input).
-  uint64_t EwmaRegionBytes = 0;
-  uint64_t CollectsSinceSelect = 0;
 
   /// Tenured objects stored into since the last collection (noteWrite);
   /// each carries GcRemembered while listed.

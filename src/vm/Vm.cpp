@@ -11,10 +11,9 @@
 
 using namespace pgmp;
 
-// Token-threaded dispatch needs the GNU labels-as-values extension.
-// Define PGMP_VM_SWITCH_DISPATCH to force the portable switch loop
-// (useful for A/B-ing dispatch strategies on the same compiler).
-#if (defined(__GNUC__) || defined(__clang__)) && !defined(PGMP_VM_SWITCH_DISPATCH)
+// Token-threaded dispatch needs the GNU labels-as-values extension;
+// other compilers get the portable switch loop.
+#if defined(__GNUC__) || defined(__clang__)
 #define PGMP_VM_THREADED 1
 #else
 #define PGMP_VM_THREADED 0
@@ -280,7 +279,7 @@ static Value runVmLoop(Context &Ctx, VmFunction *Fn, EnvObj *Captured,
       if (I.A == 0) {
         // No write barrier: Slots0 is the C++ local buffer or a frame
         // this invocation built, and collections run only at quiescent
-        // run boundaries, so the frame is young (or fresh, scanned whole).
+        // run boundaries, so the frame is young.
         Slots0[static_cast<size_t>(I.B)] = V;
       } else {
         EnvObj *F = Chain;

@@ -7,14 +7,17 @@
 //   2  degraded (corrupt profile ignored; or some — not all — parallel
 //      tasks failed and the merged profile covers the survivors)
 //   64 usage errors (sysexits EX_USAGE, distinguishable from "degraded")
-// plus the resource-guard flags and the hidden --inject-fault harness.
+// plus the resource-guard flags, the hidden --inject-fault harness, and
+// the `report --alloc` site table.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <sys/wait.h>
 
 using namespace pgmp::testutil;
@@ -26,6 +29,23 @@ namespace {
 int pgmpi(const std::string &Args) {
   std::string Cmd = std::string(PGMPI_BIN) + " " + Args + " >/dev/null 2>&1";
   int Status = std::system(Cmd.c_str());
+  if (Status == -1 || !WIFEXITED(Status))
+    return -1;
+  return WEXITSTATUS(Status);
+}
+
+/// Runs `pgmpi <Args>` with stderr discarded; returns the exit code as
+/// pgmpi() does and stores stdout in \p Out.
+int pgmpiOutput(const std::string &Args, std::string &Out) {
+  std::string Cmd = std::string(PGMPI_BIN) + " " + Args + " 2>/dev/null";
+  FILE *P = popen(Cmd.c_str(), "r");
+  if (!P)
+    return -1;
+  Out.clear();
+  char Buf[4096];
+  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), P)) > 0;)
+    Out.append(Buf, N);
+  int Status = pclose(P);
   if (Status == -1 || !WIFEXITED(Status))
     return -1;
   return WEXITSTATUS(Status);
@@ -149,6 +169,40 @@ TEST(Cli, RunGuardFlagsGovernWorkers) {
   EXPECT_EQ(pgmpi("run --jobs 2 --retries 0 --fuel 1000 --profile-out " +
                   Profile + " " + Script),
             1);
+}
+
+TEST(Cli, ReportAllocPrintsTheSiteTable) {
+  // Half the list is kept in a global, so the frame and list sites both
+  // allocate and the kept pairs survive the boundary collections.
+  std::string Script = writeScript(
+      "alloc.scm", "(define (build n acc)\n"
+                   "  (if (= n 0) acc (build (- n 1) (cons n acc))))\n"
+                   "(define keep (build 500 '()))\n"
+                   "(length (build 1000 '()))\n");
+  std::string Out;
+  ASSERT_EQ(pgmpiOutput("report --alloc " + Script, Out), 0);
+  std::istringstream Lines(Out);
+  std::string Line;
+  bool SawHeader = false;
+  int Rows = 0;
+  while (std::getline(Lines, Line)) {
+    std::istringstream Fields(Line);
+    std::string Site;
+    if (!SawHeader) {
+      std::string Objects, Bytes, Survived;
+      Fields >> Site >> Objects >> Bytes >> Survived;
+      SawHeader = Site == "site" && Objects == "objects" &&
+                  Bytes == "bytes" && Survived == "survived";
+      continue;
+    }
+    uint64_t Objects = 0, Bytes = 0, Survived = 0;
+    ASSERT_TRUE(Fields >> Site >> Objects >> Bytes >> Survived) << Line;
+    EXPECT_GT(Objects, 0u) << Line;
+    EXPECT_LE(Survived, Objects) << Line;
+    ++Rows;
+  }
+  EXPECT_TRUE(SawHeader) << Out;
+  EXPECT_GT(Rows, 0) << Out;
 }
 
 } // namespace

@@ -269,8 +269,8 @@ TEST_F(FaultInjection, AllocFaultUnderReclamationTripsAndRecovers) {
 
 TEST_F(FaultInjection, AllocFaultMatrixAcrossReclamationPaths) {
   // Walk the skip count so the one armed fault lands in different
-  // allocation paths — mutator nursery chunks, evacuation chunks during
-  // the boundary collection, tenured chunks under a pre-tenuring policy.
+  // allocation paths — mutator nursery chunks and evacuation chunks
+  // during the boundary collection.
   // Whichever path it hits, the outcome is contained: either the run
   // trips the heap guard (mutator) or the cycle degrades (collector),
   // and the engine keeps answering afterwards.
@@ -279,9 +279,6 @@ TEST_F(FaultInjection, AllocFaultMatrixAcrossReclamationPaths) {
     EngineOptions Opts;
     Opts.Reclaim = ReclaimMode::Boundary;
     Engine E(Opts);
-    Heap::ReclaimPolicy P = E.context().TheHeap.reclaimPolicy();
-    P.PreTenure[static_cast<size_t>(AllocSite::InterpClosure)] = true;
-    E.context().TheHeap.setReclaimPolicy(P);
     evalOk(E, "(define (mk n acc)"
               "  (if (zero? n) acc (mk (- n 1) (cons n acc))))");
     arm(Point::Alloc, Skip);

@@ -8,8 +8,8 @@
 // The HeapReclaim suite covers generational region reclamation directly:
 // evacuation forwarding for every kind across chunk boundaries, shared
 // structure and cycles, inline Env slots, exactly-once destruction,
-// eq/eqv hash rebuilds and in-place patching, pre-tenuring, the
-// remembered set, and major-cycle accounting.
+// eq/eqv hash rebuilds and in-place patching, the remembered set, and
+// major-cycle accounting.
 //
 //===----------------------------------------------------------------------===//
 
@@ -373,27 +373,6 @@ TEST(HeapReclaim, HashTablesRehashToForwardedKeys) {
     EXPECT_EQ(Order[I].obj(), Keys[I].obj()) << "insertion order preserved";
 }
 
-TEST(HeapReclaim, PreTenuredSitesAllocateStraightToTenured) {
-  Heap H;
-  Heap::ReclaimPolicy P;
-  P.PreTenure[static_cast<size_t>(AllocSite::PrimList)] = true;
-  H.setReclaimPolicy(P);
-  uint64_t TenuredBefore = H.tenuredBytes();
-  Value V = H.cons(Value::fixnum(1), Value::nil(), AllocSite::PrimList);
-  EXPECT_GT(H.tenuredBytes(), TenuredBefore);
-  const AllocSiteStats &SS =
-      H.siteStats()[static_cast<size_t>(AllocSite::PrimList)];
-  EXPECT_EQ(SS.TenuredAllocs, 1u);
-  // Nursery-routed sites are unaffected.
-  H.cons(Value::fixnum(2), Value::nil(), AllocSite::PrimVector);
-  EXPECT_GT(H.nurseryBytes(), 0u);
-  // The pre-tenured object is not in from-space: a collection with it as
-  // the only root must not move it.
-  const void *Before = V.obj();
-  H.collect([&](GcVisitor &Vis) { Vis.value(V); });
-  EXPECT_EQ(V.obj(), Before);
-}
-
 TEST(HeapReclaim, MajorCycleDropsTenuredGarbageAndCountsSurvivalOnce) {
   Heap H;
   // Round 1: some data survives a minor cycle into tenured space.
@@ -516,23 +495,6 @@ TEST(HeapReclaim, RememberedTenuredObjectsKeepTheirNurseryChildren) {
   uint64_t Scanned = H.allocStats().ObjectsScanned;
   H.collect([](GcVisitor &) {});
   EXPECT_EQ(H.allocStats().ObjectsScanned, Scanned);
-}
-
-TEST(HeapReclaim, DeadPreTenuredObjectsDoNotRetainNurseryChildren) {
-  // A pre-tenured object is scanned when a collection reaches it, not
-  // listed at allocation: a dead one must not keep its nursery children
-  // alive, while a live one must.
-  Heap H;
-  Heap::ReclaimPolicy P;
-  P.PreTenure[static_cast<size_t>(AllocSite::PrimList)] = true;
-  H.setReclaimPolicy(P);
-  H.cons(H.cons(Value::fixnum(1), Value::nil()), Value::nil(),
-         AllocSite::PrimList); // dead
-  Value Live = H.cons(H.cons(Value::fixnum(2), Value::nil()), Value::nil(),
-                      AllocSite::PrimList);
-  Heap::ReclaimResult R = H.collect([&](GcVisitor &V) { V.value(Live); });
-  EXPECT_EQ(R.ObjectsEvacuated, 1u) << "only the live object's child";
-  EXPECT_EQ(Live.asPair()->Car.asPair()->Car.asFixnum(), 2);
 }
 
 TEST(HeapReclaim, SymbolsAreStableAcrossCollection) {

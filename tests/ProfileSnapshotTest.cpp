@@ -6,8 +6,8 @@
 // pile). These tests pin their semantics:
 //   - weight() collapses no-data and never-hit to 0.0 (profile-query);
 //   - weightOpt() distinguishes them (profile-query*);
-//   - snapshots are immutable point-in-time views, shared O(1) between
-//     database mutations;
+//   - snapshots are immutable point-in-time views that share the
+//     database's own state until its next mutation;
 //   - EngineOptions reproduce the old construct-then-set behavior
 //     exactly, including the never-instrumented prelude.
 //
@@ -99,6 +99,29 @@ TEST(ProfileSnapshot, BackingDataSharedBetweenMutations) {
   E.foldCountersIntoProfile();
   ProfileSnapshot C = E.snapshot();
   EXPECT_NE(&A.entries(), &C.entries()) << "a mutation rebuilds the cache";
+}
+
+TEST(ProfileSnapshot, FirstQueryAfterLoadSharesTheDatabase) {
+  // Taking a snapshot copies nothing: the first query after a load reads
+  // the very map the loader filled.
+  std::string Path = tempPath("shared.profile");
+  {
+    Engine W(withInstrumentation());
+    evalOk(W, "(define (f) 1) (f)");
+    ASSERT_TRUE(W.storeProfile(Path));
+  }
+  Engine E;
+  ASSERT_TRUE(E.loadProfile(Path));
+  const ProfileDatabase &Db = E.context().ProfileDb;
+  ASSERT_GT(Db.numPoints(), 0u);
+  EXPECT_EQ(&Db.entries(), &Db.snapshot().entries());
+  ProfileSnapshot S = E.snapshot();
+  EXPECT_EQ(&S.entries(), &Db.entries());
+  // A write while S holds the state clones it; S keeps the old view.
+  size_t Points = S.points();
+  E.clearProfile();
+  EXPECT_EQ(S.points(), Points);
+  EXPECT_EQ(Db.numPoints(), 0u);
 }
 
 TEST(ProfileSnapshot, SchemeQueriesAgreeWithSnapshot) {

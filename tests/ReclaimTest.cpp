@@ -5,8 +5,7 @@
 // macros (retained syntax and transformers), tier state, and the returned
 // result all survive forwarding; source-counter profiles are byte-
 // identical with reclamation on and off, sequentially and across an
-// 8-worker pool; the profile-selected policy re-derivation is
-// deterministic; every store site calls the generational write barrier;
+// 8-worker pool; every store site calls the generational write barrier;
 // and a minor collection's scan cost does not grow with the tenured heap.
 //
 //===----------------------------------------------------------------------===//
@@ -274,58 +273,6 @@ TEST(ReclaimPool, MergedSiteStatsFoldWorkersIndexWise) {
     EXPECT_EQ(Merged[I].Bytes, Bytes);
   }
   EXPECT_GT(Merged[static_cast<size_t>(AllocSite::InterpFrame)].Objects, 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Policy selection
-//===----------------------------------------------------------------------===//
-
-TEST(Reclaim, PolicySelectionIsDeterministicInTheProfile) {
-  // Two engines running the identical workload derive identical policies.
-  auto RunOne = [](Heap::ReclaimPolicy &Out) {
-    Engine E(withReclaim());
-    evalOk(E, ChurnDef);
-    evalOk(E, "(define keep (build 3000 '()))");
-    for (int I = 0; I < 10; ++I)
-      evalOk(E, "(churn)");
-    E.context().TheHeap.selectReclaimPolicy();
-    Out = E.context().TheHeap.reclaimPolicy();
-  };
-  Heap::ReclaimPolicy A, B;
-  RunOne(A);
-  RunOne(B);
-  EXPECT_EQ(A.NurseryChunkBytes, B.NurseryChunkBytes);
-  for (size_t I = 0; I < NumAllocSites; ++I) {
-    EXPECT_EQ(A.PreTenure[I], B.PreTenure[I])
-        << allocSiteName(static_cast<AllocSite>(I));
-    EXPECT_EQ(A.HotSite[I], B.HotSite[I])
-        << allocSiteName(static_cast<AllocSite>(I));
-  }
-}
-
-TEST(Reclaim, PreTenuredAllocationsKeepTheWorkloadCorrect) {
-  // Force the interpreter's frame site pre-tenured: frames then allocate
-  // straight into tenured chunks, and the workload must be none the
-  // wiser. (This is the policy's worst case: a pre-tenured site that is
-  // actually short-lived just costs major-cycle cleanup, never
-  // correctness.)
-  Engine E(withReclaim());
-  Heap::ReclaimPolicy P = E.context().TheHeap.reclaimPolicy();
-  P.PreTenure[static_cast<size_t>(AllocSite::InterpFrame)] = true;
-  E.context().TheHeap.setReclaimPolicy(P);
-  evalOk(E, ChurnDef);
-  for (int I = 0; I < 10; ++I)
-    EXPECT_EQ(evalOk(E, "(churn)"), "2000");
-  const auto &SS =
-      E.context().TheHeap.siteStats()[static_cast<size_t>(
-          AllocSite::InterpFrame)];
-  EXPECT_GT(SS.TenuredAllocs, 0u);
-  // A forced major cycle reclaims the dead pre-tenured frames.
-  E.context().LastResult = Value::undefined();
-  uint64_t TenuredBefore = E.context().TheHeap.tenuredBytes();
-  ASSERT_TRUE(E.context().reclaimAtBoundary(/*ForceMajor=*/true));
-  EXPECT_LT(E.context().TheHeap.tenuredBytes(), TenuredBefore);
-  EXPECT_EQ(evalOk(E, "(churn)"), "2000");
 }
 
 //===----------------------------------------------------------------------===//

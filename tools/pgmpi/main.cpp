@@ -435,8 +435,7 @@ static int runServe(int Argc, char **Argv) {
 /// program with boundary reclamation on (survival numbers only exist once
 /// regions are actually reclaimed), forces a final major collection so
 /// the table reflects settled liveness, and prints every site that
-/// allocated: object kinds seen, counts, bytes, and the effective
-/// survival rate that drives the pre-tenuring policy.
+/// allocated: object kinds seen, counts, bytes, and survival rate.
 static int reportAllocSites(const std::string &Program) {
   EngineOptions EOpts;
   EOpts.Reclaim = ReclaimMode::Boundary;
@@ -464,12 +463,11 @@ static int reportAllocSites(const std::string &Program) {
               static_cast<unsigned long long>(H.allocStats().Collections),
               static_cast<unsigned long long>(H.allocStats().BytesReclaimed));
   std::printf("heap: %llu byte(s) live (%llu nursery, %llu tenured), "
-              "%llu byte(s) evacuated, %llu pre-tenured object(s)\n",
+              "%llu byte(s) evacuated\n",
               static_cast<unsigned long long>(H.bytesLive()),
               static_cast<unsigned long long>(H.nurseryBytes()),
               static_cast<unsigned long long>(H.tenuredBytes()),
-              static_cast<unsigned long long>(H.allocStats().BytesEvacuated),
-              static_cast<unsigned long long>(H.allocStats().PreTenuredObjects));
+              static_cast<unsigned long long>(H.allocStats().BytesEvacuated));
 
   size_t Order[NumAllocSites];
   for (size_t I = 0; I < NumAllocSites; ++I)
@@ -483,11 +481,8 @@ static int reportAllocSites(const std::string &Program) {
     const AllocSiteStats &S = Sites[Order[I]];
     if (S.Objects == 0)
       continue;
-    // The effective survival rate, as selectReclaimPolicy computes it:
-    // pre-tenured allocations count as survivors, so a site keeps its
-    // standing once the policy routes it straight to tenured.
-    double Rate = static_cast<double>(S.Survived + S.TenuredAllocs) /
-                  static_cast<double>(S.Objects);
+    double Rate =
+        static_cast<double>(S.Survived) / static_cast<double>(S.Objects);
     std::string Kinds;
     for (size_t K = 0; K < NumValueKinds; ++K)
       if (S.Kinds & (1u << K)) {
@@ -499,7 +494,7 @@ static int reportAllocSites(const std::string &Program) {
                 allocSiteName(static_cast<AllocSite>(Order[I])),
                 static_cast<unsigned long long>(S.Objects),
                 static_cast<unsigned long long>(S.Bytes),
-                static_cast<unsigned long long>(S.Survived + S.TenuredAllocs),
+                static_cast<unsigned long long>(S.Survived),
                 Rate * 100, Kinds.c_str());
   }
   return 0;
