@@ -6,9 +6,9 @@
 //   auto    closures tier to bytecode after the invocation threshold
 //   always  closures tier on their first apply
 // The acceptance bar for the tier pipeline is auto >= 2x off on this
-// kernel. A second case (instrumented) shows the same comparison with
-// source counters live — tiered code bumps the identical counters, so
-// this is the cost of profiling a tiered build, not a different profile.
+// kernel. The instrumented cases show the same comparison with source
+// counters live — tiered code bumps the identical counters, so this is
+// the cost of profiling a tiered build, not a different profile.
 //
 //===----------------------------------------------------------------------===//
 
@@ -81,6 +81,10 @@ void BM_TieredCaseStudy(benchmark::State &State) {
   runKernel(State, CaseStudy, "sum-upto", /*Instrument=*/false);
 }
 
+void BM_TieredCaseStudyInstrumented(benchmark::State &State) {
+  runKernel(State, CaseStudy, "sum-upto", /*Instrument=*/true);
+}
+
 } // namespace
 
 BENCHMARK(BM_TieredWork)
@@ -98,6 +102,13 @@ BENCHMARK(BM_TieredWorkInstrumented)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_TieredCaseStudy)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->ArgNames({"tier"})
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_TieredCaseStudyInstrumented)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)

@@ -21,8 +21,9 @@
 #   6. ASan fault matrix: the ExecGuard and FaultInjection suites under
 #      AddressSanitizer — every injected fault and guard trip must unwind
 #      without leaking or corrupting the engine, which only ASan can
-#      actually prove. The same stage runs the Heap and Reclaim suites,
-#      the soak replay, and the pgmpbench smoke built with
+#      actually prove. The same stage runs the TieredExec suite (the VM
+#      refunds batched source counters during unwinding), the Heap and
+#      Reclaim suites, the soak replay, and the pgmpbench smoke built with
 #      -fsanitize=address (in build-asan-e2e/): a store that skips the
 #      generational write barrier leaves a tenured object pointing into a
 #      freed nursery chunk, and ASan faults where a real workload reads it.
@@ -137,8 +138,10 @@ else
   # Heap and Reclaim join the matrix: evacuation move-construction and
   # the exactly-once destructor discipline are precisely the contracts
   # ASan can falsify (double destruction, use-after-evacuation, leaks).
+  # TieredExec joins because the VM refunds batched source counters while
+  # an exception unwinds its frames.
   ASAN_OPTIONS="halt_on_error=1" \
-    ctest --preset asan -R 'ExecGuard|FaultInjection|Heap|Reclaim'
+    ctest --preset asan -R 'ExecGuard|FaultInjection|Heap|Reclaim|TieredExec'
   # The bounded-memory soak path again, this time under ASan: thousands
   # of boundary collections (evacuation move-construction, DtorNode
   # transfer, chunk recycling) with leak detection on. RSS itself is

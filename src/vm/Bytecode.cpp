@@ -11,11 +11,47 @@ using namespace pgmp;
 void VmFunction::linearize() {
   Linear.clear();
   BlockStart.assign(Blocks.size(), -1);
+  SrcBumps.clear();
+  UnrunAt.clear();
+  Unrun.assign(1, nullptr);
   if (Layout.empty()) {
     Layout.resize(Blocks.size());
     for (uint32_t I = 0; I < Blocks.size(); ++I)
       Layout[I] = I;
   }
+
+  // The open counting segment: the Linear index of its ProfileSrcBatch,
+  // or -1 before the segment's first bump. Every other instruction
+  // records where the segment's not-yet-reached bumps start in Unrun;
+  // later bumps append there, and closing the segment terminates the run.
+  int32_t Batch = -1;
+  auto Emit = [&](Instr I) {
+    UnrunAt.push_back(Batch < 0 ? 0u : static_cast<uint32_t>(Unrun.size()));
+    Linear.push_back(I);
+  };
+  auto CloseSegment = [&] {
+    if (Batch < 0)
+      return;
+    Unrun.push_back(nullptr);
+    Batch = -1;
+  };
+  auto Bump = [&](uint64_t *Counter) {
+    if (Batch < 0) {
+      Batch = static_cast<int32_t>(Linear.size());
+      UnrunAt.push_back(0);
+      Linear.push_back(Instr{Op::ProfileSrcBatch,
+                             static_cast<int32_t>(SrcBumps.size()), 0});
+    }
+    Instr &Run = Linear[static_cast<size_t>(Batch)];
+    Unrun.push_back(Counter);
+    for (int32_t J = Run.A; J < Run.A + Run.B; ++J)
+      if (SrcBumps[static_cast<size_t>(J)].Counter == Counter) {
+        ++SrcBumps[static_cast<size_t>(J)].Times;
+        return;
+      }
+    SrcBumps.push_back(SrcBump{Counter, 1});
+    ++Run.B;
+  };
 
   for (size_t L = 0; L < Layout.size(); ++L) {
     uint32_t Id = Layout[L];
@@ -25,42 +61,56 @@ void VmFunction::linearize() {
         L + 1 < Layout.size() ? static_cast<int32_t>(Layout[L + 1]) : -1;
 
     assert(!B.Code.empty() && "empty basic block");
-    // Emit all but the terminator verbatim.
-    for (size_t I = 0; I + 1 < B.Code.size(); ++I)
-      Linear.push_back(B.Code[I]);
+    // Emit all but the terminator verbatim, bumps batched. A callee may
+    // read the counters, so a Call ends the segment it belongs to.
+    for (size_t I = 0; I + 1 < B.Code.size(); ++I) {
+      const Instr &In = B.Code[I];
+      if (In.K == Op::ProfileSrc) {
+        Bump(SrcCounters[static_cast<size_t>(In.A)]);
+        continue;
+      }
+      Emit(In);
+      if (In.K == Op::Call)
+        CloseSegment();
+    }
 
     Instr Term = B.Code.back();
     switch (Term.K) {
     case Op::Jump:
       if (Term.A != Next)
-        Linear.push_back(Term);
+        Emit(Term);
       break;
     case Op::Return:
     case Op::TailCall:
-      Linear.push_back(Term);
+      Emit(Term);
       break;
     case Op::BranchFalse:
     case Op::BranchTrue: {
       int32_t FT = B.FallThrough;
       assert(FT >= 0 && "conditional terminator without fallthrough");
       if (FT == Next) {
-        Linear.push_back(Term);
+        Emit(Term);
       } else if (Term.A == Next) {
         // Invert the branch so the hot path falls through.
         Instr Inverted = Term;
         Inverted.K =
             Term.K == Op::BranchFalse ? Op::BranchTrue : Op::BranchFalse;
         Inverted.A = FT;
-        Linear.push_back(Inverted);
+        Emit(Inverted);
       } else {
-        Linear.push_back(Term);
-        Linear.push_back(Instr{Op::Jump, FT, 0});
+        Emit(Term);
+        Emit(Instr{Op::Jump, FT, 0});
       }
       break;
     }
     default:
       assert(false && "block does not end in a terminator");
     }
+    CloseSegment();
+  }
+  if (SrcBumps.empty()) {
+    UnrunAt.clear();
+    Unrun.clear();
   }
 
   computeMaxStack();
@@ -132,6 +182,7 @@ void VmFunction::computeMaxStack() {
         break;
       case Op::ProfileBlock:
       case Op::ProfileSrc:
+      case Op::ProfileSrcBatch:
         break;
       }
       assert(Cur >= 0 && "operand stack underflow in MaxStack analysis");
@@ -234,6 +285,8 @@ std::string pgmp::disassemble(const VmFunction &Fn) {
       return "profile";
     case Op::ProfileSrc:
       return "profile-src";
+    case Op::ProfileSrcBatch:
+      return "profile-src-batch";
     }
     return "?";
   };

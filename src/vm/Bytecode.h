@@ -40,13 +40,17 @@ enum class Op : uint8_t {
   Return,       ///< pop return value
   Pop,          ///< drop top of stack
   ProfileBlock, ///< bump block counter A (present only when profiling)
-  ProfileSrc,   ///< bump source counter SrcCounters[A] (tiered/instrumented
-                ///< code only; mirrors the interpreter's per-node bump)
+  ProfileSrc,   ///< bump source counter SrcCounters[A] at the node's entry,
+                ///< mirroring the interpreter's per-node bump. Blocks only:
+                ///< linearize() folds these into ProfileSrcBatch, so the
+                ///< VM never executes one.
+  ProfileSrcBatch, ///< add Times to *Counter for each of SrcBumps[A, A+B)
+                   ///< (Linear only; see VmFunction::SrcBumps)
 };
 
 /// Number of opcodes; the VM's threaded-dispatch jump table is checked
 /// against this so adding an Op without a handler fails at compile time.
-constexpr size_t NumOps = static_cast<size_t>(Op::ProfileSrc) + 1;
+constexpr size_t NumOps = static_cast<size_t>(Op::ProfileSrcBatch) + 1;
 
 struct Instr {
   Op K;
@@ -87,6 +91,29 @@ public:
   /// profiles byte-identical across tier modes.
   std::vector<uint64_t *> SrcCounters;
 
+  /// One merged entry of a ProfileSrcBatch run.
+  struct SrcBump {
+    uint64_t *Counter;
+    uint64_t Times;
+  };
+
+  /// The runs the ProfileSrcBatch ops of Linear bump (filled by
+  /// linearize()). A block's ProfileSrc ops between its entry and its
+  /// first non-tail Call, and between one Call and the next, run equally
+  /// often, so each such segment becomes one batch at its first bump,
+  /// with repeated counters merged. Closing a segment at every Call keeps
+  /// the counters exact whenever a callee can observe them
+  /// (store-profile, clear-profile!).
+  std::vector<SrcBump> SrcBumps;
+
+  /// The refund table for a raise or guard trip that leaves a segment
+  /// after its batch ran (filled by linearize(); empty for uninstrumented
+  /// code). UnrunAt[Pc] indexes Unrun, where the counters of the
+  /// segment's bumps that come after Pc in Blocks are listed once per
+  /// bump, up to a null terminator; Unrun[0] is the null run.
+  std::vector<uint32_t> UnrunAt;
+  std::vector<uint64_t *> Unrun;
+
   /// Worst-case operand-stack depth of any path through the function
   /// (filled by linearize()); lets the VM run on a fixed-size buffer.
   uint32_t MaxStack = 0;
@@ -105,9 +132,19 @@ public:
   std::vector<int32_t> BlockStart; ///< pc of each block id in Linear
 
   /// Rebuilds Linear/BlockStart from Blocks and Layout, inserting
-  /// explicit jumps where the layout breaks a fallthrough. Also refreshes
-  /// MaxStack.
+  /// explicit jumps where the layout breaks a fallthrough and folding
+  /// ProfileSrc ops into ProfileSrcBatch runs (SrcBumps, UnrunAt,
+  /// Unrun). Also refreshes MaxStack.
   void linearize();
+
+  /// Takes back the batched bumps the segment holding \p Pc had not
+  /// reached yet, for an unwind that leaves the function at \p Pc.
+  void refundUnrun(size_t Pc) const {
+    if (UnrunAt.empty())
+      return;
+    for (uint64_t *const *C = &Unrun[UnrunAt[Pc]]; *C; ++C)
+      --**C;
+  }
 
   /// Recomputes MaxStack from the block graph (called by linearize()).
   void computeMaxStack();
@@ -136,6 +173,8 @@ public:
 
   /// Dynamic execution statistics of the whole module's last runs.
   struct Stats {
+    /// Dispatches; source counters cost one per batch (one per block
+    /// segment), not one per instrumented node.
     uint64_t InstructionsExecuted = 0;
     uint64_t JumpsTaken = 0; ///< non-fallthrough control transfers
   };

@@ -28,7 +28,8 @@ struct VmCompileOptions {
   /// Emit a ProfileSrc bump of each instrumented node's source counter at
   /// the node's entry — the same `uint64_t *` the interpreter increments,
   /// in the same order, so tiered execution of instrumented code yields
-  /// byte-identical profiles to interpreter-only runs.
+  /// byte-identical profiles to interpreter-only runs. linearize() runs
+  /// them as ProfileSrcBatch ops.
   bool ProfileSources = false;
 };
 

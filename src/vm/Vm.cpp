@@ -218,236 +218,254 @@ static Value runVmLoop(Context &Ctx, VmFunction *Fn, EnvObj *Captured,
   // per-opcode successor patterns. The switch build is kept as the
   // portable fallback and as the reference semantics: both forms run
   // the same handler bodies via VM_CASE/VM_NEXT.
-  Instr I;
+  //
+  // Source counters are bumped a segment ahead (ProfileSrcBatch), so an
+  // exception that leaves this invocation mid-segment takes back the
+  // bumps of the nodes it never reached; Fn and Pc name the instruction
+  // that threw, which is why a tail restart rebinds them together.
+  try {
+    Instr I;
 #if PGMP_VM_THREADED
-  static const void *const JumpTable[] = {
-      &&Lb_Const,       &&Lb_LocalRef,    &&Lb_GlobalRef,
-      &&Lb_SetLocal,    &&Lb_SetGlobal,   &&Lb_DefineGlobal,
-      &&Lb_MakeClosure, &&Lb_Call,        &&Lb_TailCall,
-      &&Lb_Jump,        &&Lb_BranchFalse, &&Lb_BranchTrue,
-      &&Lb_Return,      &&Lb_Pop,         &&Lb_ProfileBlock,
-      &&Lb_ProfileSrc,
-  };
-  static_assert(sizeof(JumpTable) / sizeof(JumpTable[0]) == NumOps,
-                "jump table must cover every opcode in enum order");
+    static const void *const JumpTable[] = {
+        &&Lb_Const,       &&Lb_LocalRef,    &&Lb_GlobalRef,
+        &&Lb_SetLocal,    &&Lb_SetGlobal,   &&Lb_DefineGlobal,
+        &&Lb_MakeClosure, &&Lb_Call,        &&Lb_TailCall,
+        &&Lb_Jump,        &&Lb_BranchFalse, &&Lb_BranchTrue,
+        &&Lb_Return,      &&Lb_Pop,         &&Lb_ProfileBlock,
+        &&Lb_ProfileSrc,  &&Lb_ProfileSrcBatch,
+    };
+    static_assert(sizeof(JumpTable) / sizeof(JumpTable[0]) == NumOps,
+                  "jump table must cover every opcode in enum order");
 #define VM_CASE(op) Lb_##op
 #define VM_NEXT()                                                              \
-  do {                                                                         \
-    assert(Pc < Fn->Linear.size() && "vm pc out of range");                    \
-    I = Code[Pc];                                                              \
-    ++Instrs;                                                                  \
-    goto *JumpTable[static_cast<size_t>(I.K)];                                 \
-  } while (0)
-  VM_NEXT();
+    do {                                                                       \
+      assert(Pc < Fn->Linear.size() && "vm pc out of range");                  \
+      I = Code[Pc];                                                            \
+      ++Instrs;                                                                \
+      goto *JumpTable[static_cast<size_t>(I.K)];                               \
+    } while (0)
+    VM_NEXT();
 #else
 #define VM_CASE(op) case Op::op
 #define VM_NEXT() break
-  while (true) {
-    assert(Pc < Fn->Linear.size() && "vm pc out of range");
-    I = Code[Pc];
-    ++Instrs;
-    switch (I.K) {
+    while (true) {
+      assert(Pc < Fn->Linear.size() && "vm pc out of range");
+      I = Code[Pc];
+      ++Instrs;
+      switch (I.K) {
 #endif
-    VM_CASE(Const):
-      Push(Fn->Pool[static_cast<size_t>(I.A)]);
-      ++Pc;
-      VM_NEXT();
-    VM_CASE(LocalRef): {
-      if (I.A == 0) {
-        Push(Slots0[static_cast<size_t>(I.B)]);
+      VM_CASE(Const):
+        Push(Fn->Pool[static_cast<size_t>(I.A)]);
         ++Pc;
         VM_NEXT();
-      }
-      EnvObj *F = Chain;
-      for (int32_t D = 1; D < I.A; ++D)
-        F = F->Parent;
-      Push(F->slots()[static_cast<size_t>(I.B)]);
-      ++Pc;
-      VM_NEXT();
-    }
-    VM_CASE(GlobalRef): {
-      Value *Cell = Fn->Cells[static_cast<size_t>(I.A)];
-      if (Cell->isUnbound())
-        raiseError("unbound variable " +
-                   Fn->CellNames[static_cast<size_t>(I.A)]->Name);
-      Push(*Cell);
-      ++Pc;
-      VM_NEXT();
-    }
-    VM_CASE(SetLocal): {
-      Value V = Pop();
-      if (I.A == 0) {
-        // No write barrier: Slots0 is the C++ local buffer or a frame
-        // this invocation built, and collections run only at quiescent
-        // run boundaries, so the frame is young.
-        Slots0[static_cast<size_t>(I.B)] = V;
-      } else {
+      VM_CASE(LocalRef): {
+        if (I.A == 0) {
+          Push(Slots0[static_cast<size_t>(I.B)]);
+          ++Pc;
+          VM_NEXT();
+        }
         EnvObj *F = Chain;
         for (int32_t D = 1; D < I.A; ++D)
           F = F->Parent;
-        Ctx.TheHeap.noteWrite(F);
-        F->slots()[static_cast<size_t>(I.B)] = V;
-      }
-      Push(Value::undefined());
-      ++Pc;
-      VM_NEXT();
-    }
-    VM_CASE(SetGlobal): {
-      Value *Cell = Fn->Cells[static_cast<size_t>(I.A)];
-      if (Cell->isUnbound())
-        raiseError("set! of unbound variable " +
-                   Fn->CellNames[static_cast<size_t>(I.A)]->Name);
-      *Cell = Pop();
-      Push(Value::undefined());
-      ++Pc;
-      VM_NEXT();
-    }
-    VM_CASE(DefineGlobal):
-      *Fn->Cells[static_cast<size_t>(I.A)] = Pop();
-      Push(Value::undefined());
-      ++Pc;
-      VM_NEXT();
-    VM_CASE(MakeClosure): {
-      // Frameless analysis guarantees a real frame exists here.
-      assert(Frame && "MakeClosure in a frameless function");
-      const VmFunction *Sub = Fn->SubFunctions[static_cast<size_t>(I.A)];
-      Push(Value::object(
-          ValueKind::VmClosure,
-          Ctx.TheHeap.makeAt<VmClosure>(AllocSite::VmClosure, Sub, Frame)));
-      ++Pc;
-      VM_NEXT();
-    }
-    VM_CASE(Call):
-    VM_CASE(TailCall): {
-      size_t N = static_cast<size_t>(I.A);
-      assert(Sp >= N + 1 && "vm call stack underflow");
-      Value *CallArgs = Stack + (Sp - N);
-      Value Callee = Stack[Sp - N - 1];
-
-      // Resolve callees with a bytecode body up front: VM closures, and
-      // interpreter closures whose template has tiered (or tiers right
-      // now — heat-up counts VM-driven applies too).
-      const VmFunction *Target = nullptr;
-      EnvObj *TargetEnv = nullptr;
-      if (Callee.isVmClosure()) {
-        VmClosure *C = asVmClosure(Callee);
-        Target = C->Fn;
-        TargetEnv = C->Captured;
-      } else if (Callee.isClosure()) {
-        Closure *C = Callee.asClosure();
-        if (const VmFunction *VF = tieredFunctionFor(Ctx, C->Template)) {
-          Target = VF;
-          TargetEnv = C->Captured;
-        }
-      }
-
-      if (I.K == Op::TailCall && Target) {
-        // Reuse this invocation: rebind and restart. This keeps hot tail
-        // loops in the dispatch loop instead of growing the C++ stack
-        // through applyProcedure.
-        if constexpr (GuardOn)
-          Guard.chargeFuel(); // a tail application: fuel, never depth
-        BindFrame(Target, TargetEnv, CallArgs, N);
-        FlushStats();
-        Fn = const_cast<VmFunction *>(Target);
-        Stats = &Fn->Owner->RunStats;
-        Sp = 0;
-        EnsureCap(Fn->MaxStack);
-        Code = Fn->Linear.data();
-        Pc = 0;
+        Push(F->slots()[static_cast<size_t>(I.B)]);
+        ++Pc;
         VM_NEXT();
       }
-
-      Value Result;
-      if (Target) {
-        Result = runVmLoop<GuardOn>(Ctx, const_cast<VmFunction *>(Target),
-                                    TargetEnv, CallArgs, N);
-      } else if (Callee.isPrimitive()) {
-        // Inlined primitive dispatch: arithmetic dominates call counts in
-        // numeric kernels, and applyProcedure would re-branch on kind.
-        Primitive *P = Callee.asPrimitive();
-        if (!tryPrimIntrinsic(P, CallArgs, N, Result)) {
-          if (static_cast<int>(N) < P->MinArgs ||
-              (P->MaxArgs >= 0 && static_cast<int>(N) > P->MaxArgs))
-            raiseError("primitive " + P->Name + " got " + std::to_string(N) +
-                       " arguments");
-          Result = P->Fn(Ctx, CallArgs, N);
-        }
-      } else {
-        Result = applyProcedure(Ctx, Callee, CallArgs, N);
+      VM_CASE(GlobalRef): {
+        Value *Cell = Fn->Cells[static_cast<size_t>(I.A)];
+        if (Cell->isUnbound())
+          raiseError("unbound variable " +
+                     Fn->CellNames[static_cast<size_t>(I.A)]->Name);
+        Push(*Cell);
+        ++Pc;
+        VM_NEXT();
       }
-      if (I.K == Op::TailCall) {
+      VM_CASE(SetLocal): {
+        Value V = Pop();
+        if (I.A == 0) {
+          // No write barrier: Slots0 is the C++ local buffer or a frame
+          // this invocation built, and collections run only at quiescent
+          // run boundaries, so the frame is young.
+          Slots0[static_cast<size_t>(I.B)] = V;
+        } else {
+          EnvObj *F = Chain;
+          for (int32_t D = 1; D < I.A; ++D)
+            F = F->Parent;
+          Ctx.TheHeap.noteWrite(F);
+          F->slots()[static_cast<size_t>(I.B)] = V;
+        }
+        Push(Value::undefined());
+        ++Pc;
+        VM_NEXT();
+      }
+      VM_CASE(SetGlobal): {
+        Value *Cell = Fn->Cells[static_cast<size_t>(I.A)];
+        if (Cell->isUnbound())
+          raiseError("set! of unbound variable " +
+                     Fn->CellNames[static_cast<size_t>(I.A)]->Name);
+        *Cell = Pop();
+        Push(Value::undefined());
+        ++Pc;
+        VM_NEXT();
+      }
+      VM_CASE(DefineGlobal):
+        *Fn->Cells[static_cast<size_t>(I.A)] = Pop();
+        Push(Value::undefined());
+        ++Pc;
+        VM_NEXT();
+      VM_CASE(MakeClosure): {
+        // Frameless analysis guarantees a real frame exists here.
+        assert(Frame && "MakeClosure in a frameless function");
+        const VmFunction *Sub = Fn->SubFunctions[static_cast<size_t>(I.A)];
+        Push(Value::object(
+            ValueKind::VmClosure,
+            Ctx.TheHeap.makeAt<VmClosure>(AllocSite::VmClosure, Sub, Frame)));
+        ++Pc;
+        VM_NEXT();
+      }
+      VM_CASE(Call):
+      VM_CASE(TailCall): {
+        size_t N = static_cast<size_t>(I.A);
+        assert(Sp >= N + 1 && "vm call stack underflow");
+        Value *CallArgs = Stack + (Sp - N);
+        Value Callee = Stack[Sp - N - 1];
+
+        // Resolve callees with a bytecode body up front: VM closures, and
+        // interpreter closures whose template has tiered (or tiers right
+        // now — heat-up counts VM-driven applies too).
+        const VmFunction *Target = nullptr;
+        EnvObj *TargetEnv = nullptr;
+        if (Callee.isVmClosure()) {
+          VmClosure *C = asVmClosure(Callee);
+          Target = C->Fn;
+          TargetEnv = C->Captured;
+        } else if (Callee.isClosure()) {
+          Closure *C = Callee.asClosure();
+          if (const VmFunction *VF = tieredFunctionFor(Ctx, C->Template)) {
+            Target = VF;
+            TargetEnv = C->Captured;
+          }
+        }
+
+        if (I.K == Op::TailCall && Target) {
+          // Reuse this invocation: rebind and restart. This keeps hot tail
+          // loops in the dispatch loop instead of growing the C++ stack
+          // through applyProcedure.
+          if constexpr (GuardOn)
+            Guard.chargeFuel(); // a tail application: fuel, never depth
+          BindFrame(Target, TargetEnv, CallArgs, N);
+          FlushStats();
+          Fn = const_cast<VmFunction *>(Target);
+          Pc = 0;
+          Stats = &Fn->Owner->RunStats;
+          Sp = 0;
+          EnsureCap(Fn->MaxStack);
+          Code = Fn->Linear.data();
+          VM_NEXT();
+        }
+
+        Value Result;
+        if (Target) {
+          Result = runVmLoop<GuardOn>(Ctx, const_cast<VmFunction *>(Target),
+                                      TargetEnv, CallArgs, N);
+        } else if (Callee.isPrimitive()) {
+          // Inlined primitive dispatch: arithmetic dominates call counts in
+          // numeric kernels, and applyProcedure would re-branch on kind.
+          Primitive *P = Callee.asPrimitive();
+          if (!tryPrimIntrinsic(P, CallArgs, N, Result)) {
+            if (static_cast<int>(N) < P->MinArgs ||
+                (P->MaxArgs >= 0 && static_cast<int>(N) > P->MaxArgs))
+              raiseError("primitive " + P->Name + " got " + std::to_string(N) +
+                         " arguments");
+            Result = P->Fn(Ctx, CallArgs, N);
+          }
+        } else {
+          Result = applyProcedure(Ctx, Callee, CallArgs, N);
+        }
+        if (I.K == Op::TailCall) {
+          FlushStats();
+          if constexpr (GuardOn)
+            Guard.leaveCall();
+          return Result;
+        }
+        Sp -= N + 1;
+        Push(Result);
+        ++Pc;
+        VM_NEXT();
+      }
+      VM_CASE(Jump): {
+        ++Jumps;
+        size_t NewPc =
+            static_cast<size_t>(Fn->BlockStart[static_cast<size_t>(I.A)]);
+        // Only back edges consume fuel: forward jumps are bounded by code
+        // size per application, loops are what a budget must interrupt.
+        if constexpr (GuardOn)
+          if (NewPc <= Pc)
+            Guard.chargeFuel();
+        Pc = NewPc;
+        VM_NEXT();
+      }
+      VM_CASE(BranchFalse):
+        if (!Pop().isTruthy()) {
+          ++Jumps;
+          size_t NewPc =
+              static_cast<size_t>(Fn->BlockStart[static_cast<size_t>(I.A)]);
+          if constexpr (GuardOn)
+            if (NewPc <= Pc)
+              Guard.chargeFuel();
+          Pc = NewPc;
+        } else {
+          ++Pc;
+        }
+        VM_NEXT();
+      VM_CASE(BranchTrue):
+        if (Pop().isTruthy()) {
+          ++Jumps;
+          size_t NewPc =
+              static_cast<size_t>(Fn->BlockStart[static_cast<size_t>(I.A)]);
+          if constexpr (GuardOn)
+            if (NewPc <= Pc)
+              Guard.chargeFuel();
+          Pc = NewPc;
+        } else {
+          ++Pc;
+        }
+        VM_NEXT();
+      VM_CASE(Return):
         FlushStats();
         if constexpr (GuardOn)
           Guard.leaveCall();
-        return Result;
-      }
-      Sp -= N + 1;
-      Push(Result);
-      ++Pc;
-      VM_NEXT();
-    }
-    VM_CASE(Jump): {
-      ++Jumps;
-      size_t NewPc =
-          static_cast<size_t>(Fn->BlockStart[static_cast<size_t>(I.A)]);
-      // Only back edges consume fuel: forward jumps are bounded by code
-      // size per application, loops are what a budget must interrupt.
-      if constexpr (GuardOn)
-        if (NewPc <= Pc)
-          Guard.chargeFuel();
-      Pc = NewPc;
-      VM_NEXT();
-    }
-    VM_CASE(BranchFalse):
-      if (!Pop().isTruthy()) {
-        ++Jumps;
-        size_t NewPc =
-            static_cast<size_t>(Fn->BlockStart[static_cast<size_t>(I.A)]);
-        if constexpr (GuardOn)
-          if (NewPc <= Pc)
-            Guard.chargeFuel();
-        Pc = NewPc;
-      } else {
+        return Pop();
+      VM_CASE(Pop):
+        Pop();
         ++Pc;
-      }
-      VM_NEXT();
-    VM_CASE(BranchTrue):
-      if (Pop().isTruthy()) {
-        ++Jumps;
-        size_t NewPc =
-            static_cast<size_t>(Fn->BlockStart[static_cast<size_t>(I.A)]);
-        if constexpr (GuardOn)
-          if (NewPc <= Pc)
-            Guard.chargeFuel();
-        Pc = NewPc;
-      } else {
+        VM_NEXT();
+      VM_CASE(ProfileBlock):
+        ++Fn->Blocks[static_cast<size_t>(I.A)].ProfileCount;
         ++Pc;
+        VM_NEXT();
+      VM_CASE(ProfileSrc):
+        assert(false && "ProfileSrc survived linearize()");
+        ++Pc;
+        VM_NEXT();
+      VM_CASE(ProfileSrcBatch): {
+        const VmFunction::SrcBump *Bp =
+            Fn->SrcBumps.data() + static_cast<size_t>(I.A);
+        for (const VmFunction::SrcBump *End = Bp + I.B; Bp != End; ++Bp)
+          *Bp->Counter += Bp->Times;
+        ++Pc;
+        VM_NEXT();
       }
-      VM_NEXT();
-    VM_CASE(Return):
-      FlushStats();
-      if constexpr (GuardOn)
-        Guard.leaveCall();
-      return Pop();
-    VM_CASE(Pop):
-      Pop();
-      ++Pc;
-      VM_NEXT();
-    VM_CASE(ProfileBlock):
-      ++Fn->Blocks[static_cast<size_t>(I.A)].ProfileCount;
-      ++Pc;
-      VM_NEXT();
-    VM_CASE(ProfileSrc):
-      ++*Fn->SrcCounters[static_cast<size_t>(I.A)];
-      ++Pc;
-      VM_NEXT();
 #if !PGMP_VM_THREADED
+      }
     }
-  }
 #endif
 #undef VM_CASE
 #undef VM_NEXT
+  } catch (...) {
+    Fn->refundUnrun(Pc);
+    throw;
+  }
 }
 
 Value pgmp::runVmFunction(Context &Ctx, VmFunction *Fn, EnvObj *Captured,

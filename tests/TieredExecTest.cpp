@@ -6,8 +6,9 @@
 //     non-tail positions;
 //   - *counter fidelity*: an instrumented run produces byte-identical
 //     stored profiles whatever tier executed the code — tiered bytecode
-//     bumps the exact same source counters in the same order as the
-//     tree-walking interpreter;
+//     bumps the exact same source counters as the tree-walking
+//     interpreter, also when a raise, guard trip or allocation fault
+//     leaves a tiered block early, and under a 4-worker pool merge;
 //   - phase-1 (macro transformer) code never tiers, and runtime closures
 //     whose bodies contain phase-1-only nodes (syntax-case) fall back to
 //     the interpreter permanently instead of erroring;
@@ -20,9 +21,12 @@
 
 #include "TestUtil.h"
 
+#include "core/EnginePool.h"
 #include "interp/Expr.h"
 #include "profile/ShardedCounterStore.h"
 #include "support/AtomicFile.h"
+#include "support/FaultInjector.h"
+#include "syntax/Heap.h"
 #include "vm/Bytecode.h"
 
 using namespace pgmp;
@@ -169,6 +173,191 @@ TEST(TieredExec, InstrumentedProfilesByteIdenticalAcrossTierModes) {
   // but the tier-up happens mid-workload (after warm interpreted calls).
   EXPECT_EQ(Off, storeTieredProfile(TierMode::Auto,
                                     tempPath("auto1.profile"), 1));
+}
+
+//===----------------------------------------------------------------------===//
+// Counter fidelity across unwinds
+//
+// Tiered code bumps a run of source counters ahead of the nodes that own
+// them, and takes back the ones a raise, guard trip or allocation fault
+// kept it from reaching. Each request below leaves a tiered block early
+// in a different way; the stored profile must still match the
+// interpreter's byte for byte, and the engine must go on serving.
+//===----------------------------------------------------------------------===//
+
+// `mid` raises inside a mid-block Call (its `let` is a MakeClosure), `ug`
+// references an unbound global mid-block with argument nodes after it,
+// and `deep` runs out of fuel in a nested call.
+const char *UnwindProgram =
+    "(define (fails x) (if (> x 3) (vector-ref (vector 1 2) x) x))\n"
+    "(define (mid x) (+ (fails x) (* x 2) (let ([y (+ x 1)]) (* y y))))\n"
+    "(define (ug x) (if (> x 3) (+ x (not-yet-defined x) 1) x))\n"
+    "(define (spin n) (if (= n 0) 0 (spin (- n 1))))\n"
+    "(define (deep n) (+ 1 (spin n) (* n 3)))\n"
+    "(define (warm n)\n"
+    "  (let loop ([i 0] [acc 0])\n"
+    "    (if (= i n) acc\n"
+    "        (loop (+ i 1) (+ acc (mid 1) (ug 2) (deep 10))))))\n";
+
+// `wide` takes more parameters than a heap chunk holds, so its frame is
+// the one allocation of a `calls-wide`/`tail-wide` request that must
+// acquire a chunk: an injected alloc fault lands on that frame, after
+// the interpreter or the VM has counted the same nodes, from a non-tail
+// and from a tail call.
+constexpr size_t WideParams = Heap::ChunkBytes / sizeof(Value) + 64;
+
+std::string wideProgram() {
+  std::string Params, Args;
+  for (size_t I = 0; I < WideParams; ++I) {
+    Params += " a";
+    Params += std::to_string(I);
+    Args += " ";
+    Args += std::to_string(I);
+  }
+  std::string Src = "(define (wide";
+  Src += Params;
+  Src += ") (+ a0 a1))\n(define (calls-wide x) (+ x (wide";
+  Src += Args;
+  Src += ") (* x 2)))\n(define (tail-wide x) (begin (* x 2) (wide";
+  Src += Args;
+  Src += ")))\n";
+  return Src;
+}
+
+struct UnwindCase {
+  const char *Request;
+  GuardKind Tripped;
+};
+
+const UnwindCase CoreUnwinds[] = {
+    {"(mid 10)", GuardKind::None},
+    {"(ug 10)", GuardKind::None},
+    {"(deep 100000000)", GuardKind::Fuel},
+};
+
+EngineOptions unwindOptions(TierMode Mode, uint32_t Threshold) {
+  EngineOptions Opts = withTier(Mode, Threshold, /*Instrument=*/true);
+  Opts.Fuel = 1000000;
+  // Every run starts on an empty nursery, so a run's chunk acquisitions
+  // are the same in every tier.
+  Opts.Reclaim = ReclaimMode::Boundary;
+  return Opts;
+}
+
+/// One serving session: warm up (tiering what Mode tiers), then each
+/// failing request, each followed by requests that must still succeed.
+void serveUnwinds(Engine &E, bool WithAllocFaults) {
+  ASSERT_TRUE(E.evalString(UnwindProgram, "unwind.scm").Ok);
+  if (WithAllocFaults) {
+    ASSERT_TRUE(E.evalString(wideProgram(), "wide.scm").Ok);
+  }
+  evalOk(E, "(warm 100)");
+  if (WithAllocFaults) {
+    for (int I = 0; I < 70; ++I)
+      evalOk(E, "(list (calls-wide 1) (tail-wide 1))");
+  }
+  for (const UnwindCase &C : CoreUnwinds) {
+    EvalResult R = E.evalString(C.Request);
+    EXPECT_FALSE(R.Ok) << C.Request;
+    EXPECT_EQ(R.Tripped, C.Tripped) << C.Request << ": " << R.Error;
+    EXPECT_EQ(evalOk(E, "(list (mid 2) (ug 3) (deep 5))"), "(15 3 16)");
+  }
+  if (WithAllocFaults) {
+    for (const char *Request : {"(calls-wide 5)", "(tail-wide 5)"}) {
+      // The request's first allocation takes a fresh nursery chunk; the
+      // second chunk acquisition is the wide frame.
+      faultinject::arm(faultinject::Point::Alloc, 1);
+      EvalResult R = E.evalString(Request);
+      faultinject::disarm();
+      EXPECT_FALSE(R.Ok) << Request;
+      EXPECT_EQ(R.Tripped, GuardKind::Heap) << Request << ": " << R.Error;
+      EXPECT_NE(R.Error.find("injected allocation failure (chunk of " +
+                             std::to_string(sizeof(EnvObj) +
+                                            WideParams * sizeof(Value))),
+                std::string::npos)
+          << Request << ": " << R.Error;
+      EXPECT_EQ(evalOk(E, "(list (calls-wide 1) (tail-wide 1))"), "(4 1)");
+    }
+  }
+  evalOk(E, "(warm 3)");
+}
+
+std::string storeUnwindProfile(TierMode Mode, uint32_t Threshold,
+                               const std::string &Path) {
+  Engine E(unwindOptions(Mode, Threshold));
+  serveUnwinds(E, /*WithAllocFaults=*/true);
+  ProfileOpResult St = E.storeProfile(Path);
+  EXPECT_TRUE(St) << St.Error;
+  return slurp(Path);
+}
+
+TEST(TieredExec, ProfilesByteIdenticalWhenTieredBlocksUnwind) {
+  std::string Off =
+      storeUnwindProfile(TierMode::Off, 64, tempPath("off.profile"));
+  ASSERT_FALSE(Off.empty());
+  EXPECT_EQ(Off, storeUnwindProfile(TierMode::Auto, 64,
+                                    tempPath("auto.profile")));
+  EXPECT_EQ(Off, storeUnwindProfile(TierMode::Auto, 1,
+                                    tempPath("auto1.profile")));
+  EXPECT_EQ(Off, storeUnwindProfile(TierMode::Always, 64,
+                                    tempPath("always.profile")));
+}
+
+TEST(TieredExec, PoolMergeAfterUnwindsMatchesSequentialInterpreter) {
+  // The fault injector is process-wide, so an armed alloc fault would
+  // fire in whichever worker next acquires a chunk; the pool runs the
+  // raise, unbound-global and fuel unwinds.
+  constexpr size_t Jobs = 4;
+  std::string Par = tempPath("par.profile");
+  std::string Seq = tempPath("seq.profile");
+  {
+    EnginePool Pool(Jobs, unwindOptions(TierMode::Auto, 1));
+    EnginePool::PoolResult R = Pool.run([](Engine &E, size_t) {
+      serveUnwinds(E, /*WithAllocFaults=*/false);
+      return E.evalString("(warm 2)");
+    });
+    ASSERT_TRUE(R.Ok) << R.Error;
+    ProfileOpResult St = Pool.storeMergedProfile(Par);
+    ASSERT_TRUE(St) << St.Error;
+    EXPECT_EQ(St.DatasetsMerged, Jobs);
+  }
+  {
+    Engine E(unwindOptions(TierMode::Off, 64));
+    for (size_t I = 0; I < Jobs; ++I) {
+      serveUnwinds(E, /*WithAllocFaults=*/false);
+      ASSERT_TRUE(E.evalString("(warm 2)").Ok);
+      E.foldCountersIntoProfile();
+    }
+    ProfileOpResult St = E.storeProfile(Seq);
+    ASSERT_TRUE(St) << St.Error;
+  }
+  std::string A = slurp(Par), B = slurp(Seq);
+  EXPECT_FALSE(A.empty());
+  EXPECT_EQ(A, B) << "tiered workers that unwind must merge to the "
+                     "sequential interpreter's profile";
+}
+
+TEST(TieredExec, CallsThatReadCountersSeeTheInterpretersCounts) {
+  // store-profile called from the middle of a tiered block: the file it
+  // writes holds exactly the nodes reached so far, and the nodes after
+  // the call count toward the next fold, as in the interpreter.
+  // One path for every mode: it is part of the program's source text.
+  auto Run = [](TierMode Mode) {
+    std::string Mid = tempPath("mid.profile"), End = tempPath("end.profile");
+    Engine E(withTier(Mode, 64, /*Instrument=*/true));
+    std::string Prog = "(define (snap p) (begin (* 1 2) (store-profile p) "
+                       "(* 3 4) (list 5 6)))\n"
+                       "(define (go n) (if (= n 0) 0 (begin (snap \"" +
+                       Mid + "\") (go (- n 1)))))\n";
+    EXPECT_TRUE(E.evalString(Prog, "snap.scm").Ok);
+    evalOk(E, "(go 80)");
+    EXPECT_TRUE(E.storeProfile(End));
+    return slurp(Mid) + slurp(End);
+  };
+  std::string Off = Run(TierMode::Off);
+  ASSERT_FALSE(Off.empty());
+  EXPECT_EQ(Off, Run(TierMode::Always));
+  EXPECT_EQ(Off, Run(TierMode::Auto));
 }
 
 //===----------------------------------------------------------------------===//

@@ -212,6 +212,127 @@ TEST_F(VmFixture, RestoreOriginalLayoutIsIdentity) {
   }
 }
 
+// Source counters in Linear: linearize() folds each segment's ProfileSrc
+// ops (block entry or a Call up to the next Call) into one
+// ProfileSrcBatch, and leaves Blocks, and so everything computed from
+// them, as it was.
+TEST(VmCounterBatching, OneBatchPerSegmentAndBlocksUnchanged) {
+  Engine E(withInstrumentation());
+  VmRunner Runner(E);
+  VmCompileOptions Opts;
+  Opts.ProfileSources = true;
+  EvalResult R = Runner.evalString(
+      "(define (g n) (* n n))\n"
+      "(define (f n acc)\n"
+      "  (if (= n 0) acc (f (- n 1) (+ acc (g n) (* n 2)))))\n"
+      "(f 5 0)",
+      "batch.scm", Opts);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(writeToString(R.V), "85");
+  const VmFunction *F = nullptr;
+  for (auto &Fn : Runner.lastModule()->Functions)
+    if (Fn->Name == "f")
+      F = Fn.get();
+  ASSERT_NE(F, nullptr);
+
+  size_t Bumps = 0, Batched = 0;
+  for (size_t Id = 0; Id < F->Blocks.size(); ++Id) {
+    // A segment starts at a block's first bump and at the first bump
+    // after each Call.
+    size_t Segments = 0, Calls = 0;
+    bool Open = false;
+    for (const Instr &I : F->Blocks[Id].Code) {
+      if (I.K == Op::ProfileSrc) {
+        ++Bumps;
+        if (!Open)
+          ++Segments;
+        Open = true;
+      } else if (I.K == Op::Call) {
+        ++Calls;
+        Open = false;
+      }
+    }
+    size_t Begin = static_cast<size_t>(F->BlockStart[Id]);
+    size_t End = F->Linear.size();
+    for (int32_t S : F->BlockStart)
+      if (S > F->BlockStart[Id] && static_cast<size_t>(S) < End)
+        End = static_cast<size_t>(S);
+    size_t Batches = 0;
+    for (size_t Pc = Begin; Pc < End; ++Pc) {
+      const Instr &I = F->Linear[Pc];
+      EXPECT_NE(I.K, Op::ProfileSrc) << "pc " << Pc;
+      if (I.K != Op::ProfileSrcBatch)
+        continue;
+      ++Batches;
+      for (int32_t J = I.A; J < I.A + I.B; ++J)
+        Batched += F->SrcBumps[static_cast<size_t>(J)].Times;
+    }
+    EXPECT_EQ(Batches, Segments) << "block " << Id << "\n" << disassemble(*F);
+    if (Calls == 0 && Segments > 0) {
+      EXPECT_EQ(Batches, 1u) << "block " << Id;
+    }
+  }
+  EXPECT_GT(Bumps, 10u);
+  EXPECT_EQ(Batched, Bumps) << "every node counted once per block entry";
+
+  // Taken from the same program built before linearize() batched bumps.
+  EXPECT_EQ(F->structuralHash(), 0x9496b51d2fe808b8ull);
+  EXPECT_EQ(disassemble(*F),
+            "function f params=2\n"
+            "  block 0 count=0\n"
+            "    profile-src 0 0\n"
+            "    profile-src 1 0\n"
+            "    profile-src 2 0\n"
+            "    global 0 0\n"
+            "    profile-src 3 0\n"
+            "    local 0 0\n"
+            "    profile-src 4 0\n"
+            "    const 0 0\n"
+            "    call 2 0\n"
+            "    brf 2 0\n"
+            "  block 1 count=0\n"
+            "    profile-src 5 0\n"
+            "    local 0 1\n"
+            "    jump 3 0\n"
+            "  block 2 count=0\n"
+            "    profile-src 6 0\n"
+            "    profile-src 7 0\n"
+            "    global 1 0\n"
+            "    profile-src 8 0\n"
+            "    profile-src 9 0\n"
+            "    global 2 0\n"
+            "    profile-src 10 0\n"
+            "    local 0 0\n"
+            "    profile-src 11 0\n"
+            "    const 1 0\n"
+            "    call 2 0\n"
+            "    profile-src 12 0\n"
+            "    profile-src 13 0\n"
+            "    global 3 0\n"
+            "    profile-src 14 0\n"
+            "    local 0 1\n"
+            "    profile-src 15 0\n"
+            "    profile-src 16 0\n"
+            "    global 4 0\n"
+            "    profile-src 17 0\n"
+            "    local 0 0\n"
+            "    call 1 0\n"
+            "    profile-src 18 0\n"
+            "    profile-src 19 0\n"
+            "    global 5 0\n"
+            "    profile-src 20 0\n"
+            "    local 0 0\n"
+            "    profile-src 21 0\n"
+            "    const 2 0\n"
+            "    call 2 0\n"
+            "    call 3 0\n"
+            "    tailcall 2 0\n"
+            "  block 3 count=0\n"
+            "    return 0 0\n"
+            "  block 4 count=0\n"
+            "    jump 3 0\n");
+}
+
 //===----------------------------------------------------------------------===//
 // Property: VM and interpreter agree on randomly generated programs.
 //===----------------------------------------------------------------------===//
